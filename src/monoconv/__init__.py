@@ -60,6 +60,7 @@ from .opmodel import (
 )
 from .semigroup import (
     SemigroupTrajectory,
+    evolve,
     evolve_pointwise,
     first_moment_law,
     flow_coefficients,
@@ -100,6 +101,7 @@ __all__ = [
     "diagonal_unitary_model",
     "dirac_embedding",
     "embedding_test",
+    "evolve",
     "evolve_pointwise",
     "first_moment_law",
     "flow_coefficients",

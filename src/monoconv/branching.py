@@ -108,7 +108,7 @@ class BranchingGenerator:
     def eval(self, z):
         """u(z) = alpha - sum_j lambda_j z^{j-1}."""
         z = np.asarray(z, dtype=complex)
-        if np.any(np.abs(z) >= 1.0):
+        if (np.abs(z) >= 1.0).any():
             raise DomainError("generator is defined on the open unit disk")
         val = np.full_like(z, self.alpha)
         for j, lam in self._rates:
@@ -145,10 +145,13 @@ def yule_flow(alpha: float, k: int, t: float, z) -> complex:
     """Closed-form flow of the Yule vector field alpha (z^k - z).
 
     phi_t(z) = z e^{-alpha t} / (1 - (1 - e^{-alpha(k-1)t}) z^{k-1})^{1/(k-1)},
-    with the principal root branch (continuous in t from phi_0 = z).
+    with the principal root branch (continuous in t from phi_0 = z); for
+    t < 0 that branch is not the flow, so negative times are rejected.
     """
     if k < 2:
         raise ValueError("Yule offspring count must be >= 2")
+    if not t >= 0:
+        raise DomainError("Yule flow time must be >= 0")
     z = complex(z)
     decay = np.exp(-alpha * (k - 1) * t)
     base = 1.0 - (1.0 - decay) * z ** (k - 1)
@@ -204,12 +207,16 @@ def simulate_gw(
 
     The seed fully determines the output (single PCG64 stream, trials
     vectorized per generation).  A population above ``population_cap``
-    aborts with an explicit supercritical-overflow error.
+    aborts with an explicit supercritical-overflow error.  Sample points
+    must lie in the closed unit disk, where z^{Y_n} cannot overflow.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if n_steps < 0:
         raise ValueError("step count must be >= 0")
+    zs = [complex(z) for z in np.atleast_1d(np.asarray(z_samples, dtype=complex))]
+    if not all(abs(z) <= 1.0 for z in zs):
+        raise DomainError("generating values are sampled for |z| <= 1")
     rng = np.random.default_rng(seed)
     pvals = np.asarray(law.p, dtype=float)
     counts_values = np.arange(pvals.size)
@@ -226,7 +233,6 @@ def simulate_gw(
             f"population exceeded {population_cap} at generation {n_steps}"
         )
 
-    zs = [complex(z) for z in np.atleast_1d(np.asarray(z_samples, dtype=complex))]
     sizes, counts = np.unique(pop, return_counts=True)
     freq = counts / trials
     means, errs, theo = [], [], []

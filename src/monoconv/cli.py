@@ -188,10 +188,10 @@ def _cmd_evolve(args):
     header = ["t", "re(z)", "im(z)", "re(K)", "im(K)"]
     if yule:
         header += ["re(K_closed)", "im(K_closed)"]
+    values = semigroup.evolve(gen, times, pts, args.tol).tolist()
     rows = []
-    for t in times:
-        for z in pts:
-            k = semigroup.evolve_pointwise(gen, t, z, args.tol)
+    for t, ks in zip(times, values):
+        for z, k in zip(pts, ks):
             row = [t, z.real, z.imag, k.real, k.imag]
             if yule:
                 ref = branching.yule_flow(yule[0], yule[1], t, z)

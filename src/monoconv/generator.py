@@ -33,7 +33,7 @@ class HerglotzGenerator:
         Atoms of the representing measure, weights >= 0.
     """
 
-    __slots__ = ("b", "_angles", "_weights")
+    __slots__ = ("b", "_angles", "_weights", "_omega", "_cweights")
 
     def __init__(self, b: float = 0.0, rho=()):
         pairs = list(rho)
@@ -46,6 +46,11 @@ class HerglotzGenerator:
         self.b = float(b)
         self._angles = angles
         self._weights = weights
+        # eval-time constants: the atoms omega_j = e^{i angle_j} and complex weights
+        self._omega = np.exp(1j * angles)
+        self._cweights = weights.astype(complex)
+        self._omega.setflags(write=False)
+        self._cweights.setflags(write=False)
 
     @classmethod
     def uniform(cls, mass: float = 1.0, n_atoms: int = 64) -> "HerglotzGenerator":
@@ -78,12 +83,12 @@ class HerglotzGenerator:
     def eval(self, z):
         """u(z) for |z| < 1.  Re u(z) >= 0 whenever all weights are >= 0."""
         z = np.asarray(z, dtype=complex)
-        if np.any(np.abs(z) >= 1.0):
+        if (np.abs(z) >= 1.0).any():
             raise DomainError("generator is defined on the open unit disk")
-        omega = np.exp(1j * self._angles)
+        omega = self._omega
         if omega.size:
             terms = (omega + z[..., None]) / (omega - z[..., None])
-            val = 1j * self.b + terms @ self._weights.astype(complex)
+            val = 1j * self.b + terms @ self._cweights
         else:
             val = np.full_like(z, 1j * self.b)
         return val if val.ndim else complex(val)
@@ -101,7 +106,7 @@ class HerglotzGenerator:
         c[0] = self.beta
         if self._weights.size:
             m = np.arange(1, n + 1)
-            c[1:] = 2.0 * np.exp(-1j * np.outer(m, self._angles)) @ self._weights.astype(complex)
+            c[1:] = 2.0 * np.exp(-1j * np.outer(m, self._angles)) @ self._cweights
         return TruncatedSeries(c)
 
     def vector_field(self, n: int = DEFAULT_ORDER) -> TruncatedSeries:

@@ -9,6 +9,15 @@ and an exact coefficient recursion obtained by matching Taylor
 coefficients in the functional equation v(f(z)) = v(z) f'(z) with
 f'(0) = e^{-t beta}, beta = u(0).
 
+:func:`evolve` is the one integrator entry point: a Dormand-Prince 5(4)
+loop over a whole array of points, which steps once through the sorted
+distinct times of the call and records the values at each of them.  All
+points share the step, and a step is accepted only when every point meets
+the local error test, so a value depends on the other points of the same
+call at the level of the tolerance (identical calls give identical values).
+:func:`first_moment_law`, :func:`semigroup_defect`, :func:`trajectory` and
+:func:`evolve_pointwise` (one time, one point) are thin callers of it.
+
 Any generator object with ``eval``, ``vector_field_at``, ``vector_field``
 and ``beta`` works here (both :class:`~monoconv.generator.HerglotzGenerator`
 and :class:`~monoconv.branching.BranchingGenerator` qualify).
@@ -25,6 +34,7 @@ from .measure import KTransform
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 __all__ = [
+    "evolve",
     "evolve_pointwise",
     "flow_coefficients",
     "semigroup_defect",
@@ -35,85 +45,122 @@ __all__ = [
 ]
 
 
-# Dormand-Prince 5(4) embedded pair.  The 5th-order solution is propagated;
-# the difference row gives the 4th-order error estimate.  Stage times are
-# listed for completeness; the disk ODE is autonomous and never reads them.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Dormand-Prince 5(4) embedded pair as a 7x7 stage matrix.  Row 6 is the
+# 5th-order solution, so the last stage is evaluated at the new value and
+# reused as the first stage of the next step (first same as last); _DP_E
+# is the difference to the 4th-order row, the local error estimate.
+_DP_A = np.zeros((7, 7))
+_DP_A[1, :1] = [1 / 5]
+_DP_A[2, :2] = [3 / 40, 9 / 40]
+_DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-_DP_E = _DP_B5 - _DP_B4
+_DP_E = (_DP_A[6] - _DP_B4).astype(complex)
 
 
-def _integrate(f, y0: complex, t_end: float, tol: float, max_steps: int) -> complex:
-    """Adaptive Dormand-Prince integration of a scalar complex ODE on [0, t_end]."""
+def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float, max_steps: int) -> np.ndarray:
+    """Dormand-Prince integration of y' = f(y) for every entry of ``y0`` at once.
+
+    ``t_out`` holds sorted, distinct, positive output times; the result has
+    one row per output time.  All points share the step, which is clamped
+    to each output time in turn, and a step is accepted when every point
+    meets |error| <= tol (1 + max(|y|, |y_new|)).  A trial step whose stage
+    leaves the disk (``f`` raises DomainError) is rejected like one that
+    fails the error test.
+    """
+    out = np.empty((t_out.size, y0.size), dtype=complex)
+    # w[0] is the state y and w[1 + j] the stage slope k_j.  Row i of
+    # c = [1 | h A] makes the input of stage i a single product c[i] . w;
+    # the views are taken once, since the step loop is overhead-bound for
+    # few points.
+    w = np.empty((8, y0.size), dtype=complex)
+    w[0] = y0
+    w[1] = f(y0)
+    slopes = w[1:]
+    c = np.ones((7, 8), dtype=complex)
+    stages = [(c[i, : i + 1], w[: i + 1]) for i in range(1, 7)]
+    abs_y = np.abs(y0)
     t = 0.0
-    y = complex(y0)
-    dt = min(t_end, 0.1)
-    dt_floor = 0.25 * np.finfo(float).eps * t_end
+    dt = 0.1
     n_steps = 0
-    k = np.zeros(7, dtype=complex)
-    while t < t_end:
-        if n_steps >= max_steps:
-            raise StepSizeUnderflowError(
-                f"ODE integration exceeded {max_steps} steps before t={t_end}"
-            )
-        remaining = t_end - t
-        if remaining <= 16.0 * dt_floor:
-            break  # within machine resolution of the endpoint
-        dt = min(dt, remaining)
-        if dt <= dt_floor or t + dt == t:
-            raise StepSizeUnderflowError(
-                f"step size underflow at t={t} (local tolerance {tol} unreachable)"
-            )
-        k[0] = f(y)
-        for i in range(1, 7):
-            yi = y + dt * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-            k[i] = f(yi)
-        y_new = y + dt * np.dot(_DP_B5, k)
-        err = abs(dt * np.dot(_DP_E, k))
-        scale = tol * (1.0 + max(abs(y), abs(y_new)))
-        if err <= scale:
-            t += dt
-            y = y_new
-        # PI-free step update with the usual safety factor and clamps
-        if err == 0.0:
-            factor = 5.0
-        else:
-            factor = min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2))
-        dt *= factor
-        n_steps += 1
-    return y
+    for row, t_end in enumerate(t_out.tolist()):
+        dt_floor = 0.25 * np.finfo(float).eps * t_end
+        while t_end - t > 16.0 * dt_floor:  # else within machine resolution
+            if n_steps >= max_steps:
+                raise StepSizeUnderflowError(
+                    f"ODE integration exceeded {max_steps} steps before t={t_end}"
+                )
+            h = min(dt, t_end - t)
+            if h <= dt_floor or t + h == t:
+                raise StepSizeUnderflowError(
+                    f"step size underflow at t={t} (local tolerance {tol} unreachable)"
+                )
+            np.multiply(h, _DP_A, out=c[:, 1:])
+            try:
+                for i, (ci, wi) in enumerate(stages, start=2):
+                    y_new = np.dot(ci, wi)  # the input of the last stage is the new value
+                    w[i] = f(y_new)
+            except DomainError:  # a trial stage left the disk: reject the step
+                ratio = np.inf
+            else:
+                abs_new = np.abs(y_new)
+                err = np.abs(np.dot(_DP_E, slopes)) / (1.0 + np.maximum(abs_y, abs_new))
+                ratio = h * float(err.max(initial=0.0))
+            # PI-free step update with the usual safety factor and clamps
+            if ratio == 0.0:
+                factor = 5.0
+            else:
+                factor = min(5.0, max(0.2, 0.9 * (tol / ratio) ** 0.2))
+            accepted = ratio <= tol
+            if accepted:
+                t += h
+                w[0] = y_new
+                w[1] = w[7]
+                abs_y = abs_new
+            # an accepted step clamped to an output time keeps the proposal
+            dt = max(dt, h * factor) if accepted and h < dt else h * factor
+            n_steps += 1
+        if not np.all(abs_y < 1.0):
+            raise StepSizeUnderflowError("flow left the unit disk; integration unreliable")
+        out[row] = w[0]
+    return out
+
+
+def evolve(gen, times, points, tol: float = 1e-10, max_steps: int = 10**6) -> np.ndarray:
+    """K_t(z) for every requested time and point, as a (len(times), len(points)) array.
+
+    One adaptive integration of dK/dt = v(K) from K_0(z) = z runs through
+    the sorted distinct positive times, with one step shared by all points;
+    rows come back in the caller's order, and rows for t = 0 are the inputs
+    exactly.  Because the step is shared, a value depends on the other
+    points of the call at the level of the tolerance.  Requires |z| < 1
+    and finite t >= 0 for every point and time.  The modulus |K_t| is
+    non-increasing along the exact flow, so the values stay inside the disk.
+    """
+    ts = np.asarray(times, dtype=float).ravel()
+    zs = np.asarray(points, dtype=complex).ravel()
+    if not np.all(np.abs(zs) < 1.0):
+        raise DomainError("evolution is defined for |z| < 1")
+    if not np.all((ts >= 0) & (ts < np.inf)):
+        raise DomainError("evolution time must be finite and >= 0")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    grid, inverse = np.unique(ts, return_inverse=True)
+    values = np.empty((grid.size, zs.size), dtype=complex)
+    moving = grid > 0
+    values[~moving] = zs
+    if moving.any():
+        values[moving] = _integrate(gen.vector_field_at, zs, grid[moving], tol, max_steps)
+    return values[inverse]
 
 
 def evolve_pointwise(gen, t: float, z: complex, tol: float = 1e-10, max_steps: int = 10**6) -> complex:
-    """K_t(z) by adaptive integration of dK/dt = v(K) from K_0(z) = z.
-
-    Requires |z| < 1 and t >= 0.  The modulus |K_t| is non-increasing along
-    the exact flow, so the returned value stays inside the disk.
-    """
-    if abs(z) >= 1.0:
-        raise DomainError("evolution is defined for |z| < 1")
-    if t < 0:
-        raise DomainError("evolution time must be >= 0")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if t == 0:
-        return complex(z)
-    y = complex(_integrate(gen.vector_field_at, z, float(t), tol, max_steps))
-    if abs(y) >= 1.0:
-        raise StepSizeUnderflowError("flow left the unit disk; integration unreliable")
-    return y
+    """K_t(z) at one time and one point; see :func:`evolve`."""
+    return complex(evolve(gen, [t], [z], tol, max_steps)[0, 0])
 
 
 def flow_coefficients(gen, t: float, n: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -152,12 +199,10 @@ def semigroup_defect(gen, s: float, t: float, grid, tol: float = 1e-10) -> float
     """
     if s < 0 or t < 0:
         raise DomainError("semigroup times must be >= 0")
-    worst = 0.0
-    for z in np.asarray(grid, dtype=complex).ravel():
-        lhs = evolve_pointwise(gen, s + t, z, tol)
-        rhs = evolve_pointwise(gen, s, evolve_pointwise(gen, t, z, tol), tol)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    zs = np.asarray(grid, dtype=complex).ravel()
+    lhs = evolve(gen, [s + t], zs, tol)[0]
+    rhs = evolve(gen, [s], evolve(gen, [t], zs, tol)[0], tol)[0]
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def generator_from_flow(flow, z: complex, h: float = 1e-4) -> complex:
@@ -190,7 +235,7 @@ def first_moment_law(gen, t: float, radius: float = 0.5, nodes: int = 64, tol: f
         raise DomainError("evolution time must be >= 0")
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     ring = radius * np.exp(1j * theta)
-    vals = np.array([evolve_pointwise(gen, t, z, tol) for z in ring])
+    vals = evolve(gen, [t], ring, tol)[0]
     computed = complex(np.mean(vals * np.exp(-1j * theta)) / radius)
     predicted = complex(np.exp(-t * complex(gen.beta)))
     return computed, predicted
@@ -219,8 +264,6 @@ def trajectory(gen, times, grid, tol: float = 1e-10) -> SemigroupTrajectory:
     ts = [float(t) for t in times]
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValueError("times must be non-decreasing")
-    pts = [complex(z) for z in np.asarray(grid, dtype=complex).ravel()]
-    rows = tuple(
-        tuple(evolve_pointwise(gen, t, z, tol) for z in pts) for t in ts
-    )
-    return SemigroupTrajectory(times=tuple(ts), points=tuple(pts), values=rows)
+    pts = np.asarray(grid, dtype=complex).ravel()
+    rows = tuple(tuple(row) for row in evolve(gen, ts, pts, tol).tolist())
+    return SemigroupTrajectory(times=tuple(ts), points=tuple(pts.tolist()), values=rows)

@@ -71,6 +71,11 @@ def test_yule_flow_property():
             assert abs(lhs - rhs) < 1e-14
 
 
+def test_yule_rejects_negative_time():
+    with pytest.raises(DomainError):
+        yule_flow(1.0, 2, -0.1, 0.4)
+
+
 def test_yule_satisfies_ode_by_finite_differences():
     alpha, k = 1.0, 2
     gen = BranchingGenerator.yule(alpha, k)
@@ -164,3 +169,11 @@ def test_simulation_reproducible():
 def test_supercritical_overflow():
     with pytest.raises(SupercriticalOverflowError):
         simulate_gw(OffspringLaw([0, 0, 1.0]), 30, 2, [0.5], seed=1)
+
+
+def test_simulation_rejects_points_outside_closed_disk():
+    law = OffspringLaw([0.0, 0.5, 0.5])
+    with pytest.raises(DomainError):
+        simulate_gw(law, 3, 10, [0.5, 1.5], seed=1)
+    on_circle = simulate_gw(law, 3, 10, [1.0, -1j], seed=1)
+    assert all(abs(m) <= 1.0 for m in on_circle.means)

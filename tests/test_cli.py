@@ -98,6 +98,35 @@ def test_evolve_yule_emits_closed_form_column(tmp_path, capsys):
         assert abs(cells[3] - cells[5]) < 1e-8 and abs(cells[4] - cells[6]) < 1e-8
 
 
+def test_evolve_rows_follow_given_time_order(tmp_path, capsys):
+    gen = write(tmp_path, "gen.json", {"b": 0.2, "rho": [{"angle": 1.0, "weight": 0.6}]})
+    code, out, _ = run(capsys, ["evolve", gen, "--t", "1.0,0.5,1.0", "--z", "0.4", "--z", "0.2-0.3j"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [1.0, 1.0, 0.5, 0.5, 1.0, 1.0]
+    assert rows[:2] == rows[4:]
+    assert rows[0][3:] != rows[2][3:]
+
+
+def test_evolve_grid_is_byte_identical(tmp_path, capsys):
+    gen = write(tmp_path, "gen.json", {"b": -0.3, "rho": [{"angle": 0.5, "weight": 0.4}, {"angle": 4.0, "weight": 0.3}]})
+    pts = [[0.5 * np.cos(a), 0.5 * np.sin(a)] for a in np.linspace(0, 2 * np.pi, 16, endpoint=False)]
+    grid = write(tmp_path, "grid.json", pts)
+    args = ["evolve", gen, "--t", "0.25,1.5,0.75", "--grid", grid]
+    code1, out1, _ = run(capsys, args)
+    code2, out2, _ = run(capsys, args)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert len(out1.strip().splitlines()) == 1 + 3 * 16
+
+
+def test_evolve_negative_time_exit_code(tmp_path, capsys):
+    gen = write(tmp_path, "gen.json", {"rates": {"2": 1.0}})
+    code, out, err = run(capsys, ["evolve", gen, "--t", "-0.5", "--z", "0.4"])
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["code"] == "domain-error"
+
+
 def test_embed_scaling(tmp_path, capsys):
     k = write(tmp_path, "k.json", {"series": [[0.0, 0.0], [0.5, 0.0]]})
     code, out, _ = run(capsys, ["embed", k])
@@ -143,6 +172,14 @@ def test_gw_overflow_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, ["gw", law, "--n", "40", "--trials", "2", "--seed", "1"])
     assert code == 4
     assert json.loads(err)["error"]["code"] == "numeric-failure"
+
+
+def test_gw_point_outside_disk_exit_code(tmp_path, capsys):
+    law = write(tmp_path, "law.json", {"p": [0.0, 0.5, 0.5]})
+    code, out, err = run(capsys, ["gw", law, "--n", "4", "--trials", "100", "--seed", "1", "--z", "1.5"])
+    assert code == 3 and out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]["code"] == "domain-error"
 
 
 def test_counterexample_values(capsys):

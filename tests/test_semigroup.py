@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoconv._util import ring_grid
 from monoconv.branching import BranchingGenerator, yule_flow
@@ -7,6 +9,7 @@ from monoconv.errors import DomainError, StepSizeUnderflowError
 from monoconv.generator import HerglotzGenerator
 from monoconv.measure import k_transform, validate_k
 from monoconv.semigroup import (
+    evolve,
     evolve_pointwise,
     first_moment_law,
     flow_coefficients,
@@ -85,6 +88,19 @@ def test_evolve_matches_yule_closed_form():
             assert abs(got - yule_flow(1.0, 2, t, z)) <= 10 * tol
 
 
+def test_evolve_near_an_atom_matches_koebe_closed_form():
+    # u = (1 + z)/(1 - z) gives K_t/(1 + K_t)^2 = e^{-t} z/(1 + z)^2, so K_t(z)
+    # is the root inside the disk of c K^2 + (2c - 1) K + c = 0.  Near the
+    # atom the first trial steps put Runge-Kutta stages outside the disk.
+    gen = HerglotzGenerator(b=0.0, rho=[(0.0, 1.0)])
+    zs = np.array([0.5, 0.8, 0.9, 0.99])
+    c = np.exp(-0.5) * zs / (1 + zs) ** 2
+    exact = (1 - 2 * c - np.sqrt(1 - 4 * c)) / (2 * c)
+    assert np.max(np.abs(evolve(gen, [0.5], zs)[0] - exact)) < 1e-9
+    for z, k in zip(zs, exact):
+        assert abs(evolve_pointwise(gen, 0.5, z) - k) < 1e-9
+
+
 def test_evolve_domain_checks():
     with pytest.raises(DomainError):
         evolve_pointwise(ConstGen(), 1.0, 1.0)
@@ -97,6 +113,66 @@ def test_step_underflow_is_reported():
         evolve_pointwise(ConstGen(), 1.0, 0.5, tol=1e-300)
     with pytest.raises(StepSizeUnderflowError):
         evolve_pointwise(ConstGen(), 1.0, 0.5, tol=1e-12, max_steps=3)
+
+
+# -- batched evolution --------------------------------------------------------
+
+herglotz_generators = st.builds(
+    lambda b, atoms: HerglotzGenerator(b=b, rho=atoms),
+    st.floats(-1.0, 1.0),
+    st.lists(st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.05, 0.8)), min_size=1, max_size=4),
+)
+rings = st.builds(
+    lambda r, n, phase: r * np.exp(1j * (phase + 2 * np.pi * np.arange(n) / n)),
+    st.floats(0.05, 0.85),
+    st.integers(1, 12),
+    st.floats(0.0, 2 * np.pi),
+)
+batch_times = st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 2.0), min_size=1, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gen=herglotz_generators, ring=rings, times=batch_times)
+def test_batched_values_match_pointwise(gen, ring, times):
+    values = evolve(gen, times, ring)
+    assert values.shape == (len(times), ring.size)
+    for t, row in zip(times, values):
+        for z, k in zip(ring, row):
+            assert abs(k - evolve_pointwise(gen, t, z)) <= 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.floats(0.2, 2.0), k=st.sampled_from([2, 3]), ring=rings, times=batch_times)
+def test_batched_values_match_yule_closed_form(alpha, k, ring, times):
+    values = evolve(BranchingGenerator.yule(alpha, k), times, ring)
+    for t, row in zip(times, values):
+        for z, got in zip(ring, row):
+            assert abs(got - yule_flow(alpha, k, t, z)) <= 1e-8
+
+
+def test_evolve_zero_time_rows_are_exact_in_mixed_batch():
+    zs = ring_grid((0.3, 0.7), 5)
+    values = evolve(HerglotzGenerator.uniform(), [0.8, 0.0, 1.3, 0.0], zs)
+    assert np.array_equal(values[1], zs) and np.array_equal(values[3], zs)
+    assert np.max(np.abs(values[0] - np.exp(-0.8) * zs)) < 1e-9
+    assert evolve(HerglotzGenerator.uniform(), [0.0, 0.5], []).shape == (2, 0)
+
+
+def test_evolve_batch_reports_step_failures():
+    zs = ring_grid((0.3, 0.6), 4)
+    with pytest.raises(StepSizeUnderflowError):
+        evolve(ConstGen(), [0.5, 1.0], zs, tol=1e-300)
+    with pytest.raises(StepSizeUnderflowError):
+        evolve(ConstGen(), [0.5, 1.0], zs, tol=1e-12, max_steps=3)
+
+
+def test_evolve_batch_domain_checks():
+    with pytest.raises(DomainError):
+        evolve(ConstGen(), [1.0], [0.3, 0.2j, 1.0])
+    with pytest.raises(DomainError):
+        evolve(ConstGen(), [1.0, -0.1], [0.3, 0.2j])
+    with pytest.raises(DomainError):
+        evolve(ConstGen(), [float("nan")], [0.3])
 
 
 # -- coefficient recursion ----------------------------------------------------
