@@ -36,6 +36,9 @@ _ROTATION_TOL = 1e-12
 
 _RING_RADII = (0.2, 0.4, 0.6)
 _RING_ANGLES = 8
+# Richardson weight of the two innermost rings: an angle average over
+# _RING_ANGLES points at radius r is u(0) + O(r^_RING_ANGLES).
+_RICHARDSON_SCALE = (_RING_RADII[1] / _RING_RADII[0]) ** _RING_ANGLES
 
 
 def default_grid() -> np.ndarray:
@@ -126,12 +129,10 @@ def embedding_test(
         return EmbeddingVerdict(embeddable=False, reason="limit_diverges", iterations=n)
 
     u_raw = -r_prev / pts
-    # Richardson over the two innermost rings: the angle average at radius r
-    # equals u(0) + O(r^8); combining r and 2r cancels the r^8 term too.
+    # Richardson over the two innermost rings cancels their leading r^_RING_ANGLES term.
     g1 = np.mean(u_raw[:_RING_ANGLES])
     g2 = np.mean(u_raw[_RING_ANGLES : 2 * _RING_ANGLES])
-    scale = 2.0**_RING_ANGLES
-    origin = (scale * g1 - g2) / (scale - 1.0)
+    origin = (_RICHARDSON_SCALE * g1 - g2) / (_RICHARDSON_SCALE - 1.0)
     u_norm = u_raw / origin
 
     principal = -np.log(c1)

@@ -144,26 +144,13 @@ def check_monotone_independence(
     return worst
 
 
-def spectral_norm(x, tol: float = 1e-6, max_iter: int = 200) -> float:
-    """Largest singular value by power iteration on x* x."""
-    x = np.asarray(x, dtype=complex)
-    g = x.conj().T @ x
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(x.shape[1]) + 1j * rng.standard_normal(x.shape[1])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = g @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        lam_new = float(np.real(np.vdot(v, g @ v)))
-        if abs(lam_new - lam) <= tol * max(lam_new, 1e-30):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
+def spectral_norm(x) -> float:
+    """Largest singular value of ``x`` (by SVD, exact to rounding).
+
+    :func:`k_operator` takes its domain bound |z| < 1/||x|| from it, so it
+    must not fall short the way an iterative estimate can.
+    """
+    return float(np.linalg.norm(np.asarray(x, dtype=complex), 2))
 
 
 def _is_unitary(x) -> bool:
@@ -175,8 +162,8 @@ def k_operator(x, omega, z: complex) -> complex:
     """K-transform of the operator ``x`` in the vector state ``omega`` at z.
 
     psi(z) = <omega, z x (1 - z x)^{-1} omega> via one linear solve, then
-    K = psi / (1 + psi).  Requires |z| < 1/||x|| (power-iteration norm
-    estimate), or |z| < 1 when x is unitary.
+    K = psi / (1 + psi).  Requires |z| < 1/||x|| (the exact spectral norm,
+    :func:`spectral_norm`), or |z| < 1 when x is unitary.
     """
     x = np.asarray(x, dtype=complex)
     omega = np.asarray(omega, dtype=complex).ravel()

@@ -7,7 +7,9 @@ suite: numerical integration of the disk ODE
 
 and an exact coefficient recursion obtained by matching Taylor
 coefficients in the functional equation v(f(z)) = v(z) f'(z) with
-f'(0) = e^{-t beta}, beta = u(0).
+f'(0) = e^{-t beta}, beta = u(0).  :func:`flow_coefficients` fills the
+power table [f^k]_m of :mod:`monoconv.series` one column at a time as each
+f_m becomes known, so it makes no composition at all.
 
 :func:`evolve` is the one integrator entry point: a Dormand-Prince 5(4)
 loop over a whole array of points, which steps once through the sorted
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, StepSizeUnderflowError
 from .measure import KTransform
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import DEFAULT_ORDER, TruncatedSeries, _fill_power_columns
 
 __all__ = [
     "evolve",
@@ -168,7 +170,10 @@ def flow_coefficients(gen, t: float, n: int = DEFAULT_ORDER) -> TruncatedSeries:
 
     Matching the z^m coefficient of v(f(z)) = v(z) f'(z) determines f_m
     from f_1..f_{m-1} after dividing by v_1 (m - 1), so beta = u(0) must be
-    nonzero; use :func:`evolve_pointwise` for beta = 0 generators.
+    nonzero; use :func:`evolve_pointwise` for beta = 0 generators.  The
+    powers of f fill a power table a column at a time as each f_m becomes
+    known (column m for k >= 2 needs only f_1..f_{m-1}), so step m is one
+    matrix-vector product and two dot products, with no composition.
     """
     if t < 0:
         raise DomainError("evolution time must be >= 0")
@@ -179,15 +184,18 @@ def flow_coefficients(gen, t: float, n: int = DEFAULT_ORDER) -> TruncatedSeries:
         raise DomainError(
             "coefficient recursion needs u(0) != 0; use evolve_pointwise instead"
         )
-    v = gen.vector_field(n)
-    f = np.zeros(n + 1, dtype=np.complex128)
-    f[1] = np.exp(-t * beta)
+    v = gen.vector_field(n).coeffs
+    table = np.zeros((n + 1, n + 1), dtype=np.complex128)  # table[k, m] = [f^k]_m
+    f = table[1]  # row 1 of the table is f itself, solved for in place
+    df = np.zeros(n + 1, dtype=np.complex128)  # coefficients k f_k of z f'(z)
+    f[1] = df[1] = np.exp(-t * beta)
     v1 = v[1]  # equals -beta
     for m in range(2, n + 1):
-        partial = TruncatedSeries(f)
-        lhs_lower = v.compose(partial)[m]  # v(f) coefficient without the v1*f_m term
-        rhs = sum(kk * f[kk] * v[m + 1 - kk] for kk in range(1, m))
+        _fill_power_columns(table, m, m + 1)
+        lhs_lower = np.dot(v[2 : m + 1], table[2 : m + 1, m])  # v(f) without the v1*f_m term
+        rhs = np.dot(df[1:m], v[m:1:-1])  # sum_k k f_k v_(m+1-k), k = 1..m-1
         f[m] = (rhs - lhs_lower) / ((1 - m) * v1)
+        df[m] = m * f[m]
     return TruncatedSeries(f)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 
+from monoconv import embedding
 from monoconv.branching import BranchingGenerator
 from monoconv.embedding import dirac_embedding, embedding_test
 from monoconv.generator import HerglotzGenerator
@@ -131,3 +132,10 @@ def test_dirac_generator_consistency():
 def test_haar_is_not_embeddable():
     v = embedding_test(KTransform.haar(16))
     assert not v.embeddable and v.reason == "derivative_vanishes"
+
+
+def test_richardson_scale_follows_the_ring_constants():
+    # the angle average at radius r is u(0) + O(r^8) with 8 angles; the two
+    # innermost radii 0.2 and 0.4 give the weight 2^8, and exactly so
+    assert embedding._RING_RADII[:2] == (0.2, 0.4) and embedding._RING_ANGLES == 8
+    assert embedding._RICHARDSON_SCALE == 256.0

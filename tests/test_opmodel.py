@@ -305,7 +305,37 @@ def test_spectral_norm_matches_svd():
     rng = np.random.default_rng(17)
     for _ in range(5):
         m = rand_matrix(rng, int(rng.integers(2, 7)))
-        assert abs(spectral_norm(m) - np.linalg.norm(m, 2)) < 1e-5 * np.linalg.norm(m, 2)
+        top = np.linalg.svd(m, compute_uv=False)[0]
+        assert abs(spectral_norm(m) - top) < 1e-12 * top
+
+
+def power_iteration_norm(x, tol=1e-6, max_iter=200):
+    """The former norm estimate: power iteration on x* x, stopped on a
+    relative change below ``tol``.  Its Rayleigh quotient never exceeds the
+    true ||x||^2, so a stop before convergence underestimates."""
+    g = x.conj().T @ x
+    rng = np.random.default_rng(12345)
+    v = rng.standard_normal(x.shape[1]) + 1j * rng.standard_normal(x.shape[1])
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(max_iter):
+        v = g @ v
+        v /= np.linalg.norm(v)
+        lam_new = float(np.real(np.vdot(v, g @ v)))
+        if abs(lam_new - lam) <= tol * lam_new:
+            return float(np.sqrt(lam_new))
+        lam = lam_new
+    return float(np.sqrt(lam))
+
+
+def test_k_operator_rejects_z_that_a_norm_estimate_would_admit():
+    # two nearly equal top singular values stall the power iteration early
+    x = np.diag([0.5, 0.4999, 0.2]).astype(complex)
+    z = 2.0001  # outside |z| < 1/||x|| = 2, inside 1/estimate
+    assert abs(z) < 1.0 / power_iteration_norm(x)
+    assert spectral_norm(x) == 0.5
+    with pytest.raises(DomainError):
+        k_operator(x, [1.0, 0.0, 0.0], z)
 
 
 def test_random_unitary_is_unitary():

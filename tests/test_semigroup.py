@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import recursion_flow_coefficients
 
 from monoconv._util import ring_grid
 from monoconv.branching import BranchingGenerator, yule_flow
@@ -199,6 +200,34 @@ def test_flow_coefficients_match_yule_taylor():
 def test_flow_coefficients_need_nonzero_beta():
     with pytest.raises(DomainError):
         flow_coefficients(HerglotzGenerator(), 1.0, 8)
+
+
+yule_generators = st.builds(BranchingGenerator.yule, st.floats(0.2, 2.0), st.sampled_from([2, 3, 4]))
+flow_generators = herglotz_generators | yule_generators
+
+
+@settings(max_examples=40, deadline=None)
+@given(gen=flow_generators, t=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0), n=st.integers(1, 48))
+def test_flow_coefficients_match_recursion_oracle(gen, t, n):
+    # K_t maps the disk into itself, so every coefficient has modulus <= 1
+    got = flow_coefficients(gen, t, n)
+    want = recursion_flow_coefficients(gen, t, n)
+    assert got.order == want.order == n
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(gen=flow_generators, s=st.floats(0.05, 1.0), t=st.floats(0.05, 1.0))
+def test_series_semigroup_law_matches_evolve(gen, s, t):
+    n, radius, tol = 32, 0.5, 1e-10
+    composed = flow_coefficients(gen, s, n).compose(flow_coefficients(gen, t, n))
+    assert np.max(np.abs(composed.coeffs - flow_coefficients(gen, s + t, n).coeffs)) <= 1e-12
+    ring = ring_grid((radius,), 16)
+    ode = evolve(gen, [s + t], ring, tol)[0]
+    # coefficients of a disk self-map are <= 1: the dropped tail is below
+    # r^(n+1) / (1 - r); the ODE side is within 100x its local tolerance
+    tail = radius ** (n + 1) / (1 - radius)
+    assert max(abs(composed(z) - k) for z, k in zip(ring, ode)) <= tail + 100 * tol
 
 
 # -- semigroup property -------------------------------------------------------

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import horner_compose
 
 from monoconv.errors import DomainError
 from monoconv.series import TruncatedSeries
@@ -38,6 +41,40 @@ def test_compose_requires_zero_constant():
     f = TruncatedSeries([1.0, 1.0])
     with pytest.raises(DomainError):
         f.compose(TruncatedSeries([0.5, 1.0]))
+
+
+def disk_coeffs(rng, size, radius, density):
+    """``size`` coefficients uniform in |c| <= radius, each kept with probability ``density``."""
+    c = radius * np.sqrt(rng.uniform(0, 1, size)) * np.exp(2j * np.pi * rng.uniform(0, 1, size))
+    return np.where(rng.uniform(0, 1, size) < density, c, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    outer_order=st.integers(0, 256),
+    inner_order=st.integers(0, 256),
+    seed=st.integers(0, 2**32 - 1),
+    radius=st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1.0),
+    density=st.sampled_from([1.0, 0.1]) | st.floats(0.0, 1.0),
+)
+def test_power_table_compose_matches_horner(outer_order, inner_order, seed, radius, density):
+    rng = np.random.default_rng(seed)
+    f = TruncatedSeries(disk_coeffs(rng, outer_order + 1, 1.0, density))
+    g = disk_coeffs(rng, inner_order + 1, radius, density)
+    g[0] = 0.0
+    g = TruncatedSeries(g)
+    got, want = f.compose(g), horner_compose(f, g)
+    assert got.order == want.order == min(outer_order, inner_order)
+    # relative to the composition of the moduli, which bounds every partial
+    # sum of both routes; below the smallest normal number only subnormal
+    # rounding is left
+    scale = horner_compose(TruncatedSeries(np.abs(f.coeffs)), TruncatedSeries(np.abs(g.coeffs)))
+    gap = np.abs(got.coeffs - want.coeffs)
+    assert np.all(gap <= 1e-12 * scale.coeffs.real + np.finfo(float).tiny)
+
+
+def test_compose_at_order_zero_keeps_the_constant():
+    assert TruncatedSeries([0.5, 2.0]).compose(TruncatedSeries([0.0])).coeffs.tolist() == [0.5]
 
 
 def test_reciprocal_geometric():
