@@ -35,7 +35,6 @@ from .errors import DomainError, StepSizeUnderflowError, SupercriticalOverflowEr
 from .generator import HerglotzGenerator
 from .measure import (
     CircleMeasure,
-    ClosedForm,
     KTransform,
     KValidationReport,
     k_transform,
@@ -76,7 +75,6 @@ __all__ = [
     "BranchingGenerator",
     "CFreeEvaluator",
     "CircleMeasure",
-    "ClosedForm",
     "DEFAULT_ORDER",
     "DiracEmbedding",
     "DomainError",

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SupercriticalOverflowError
-from .measure import ClosedForm, KTransform
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .measure import KTransform
+from .series import DEFAULT_ORDER, TruncatedSeries, horner
 
 __all__ = [
     "OffspringLaw",
@@ -42,6 +42,8 @@ class OffspringLaw:
         arr = tuple(float(x) for x in p)
         if len(arr) == 0 or len(arr) - 1 > _MAX_SUPPORT:
             raise ValueError(f"offspring support must be 0..{_MAX_SUPPORT}")
+        if not np.isfinite(arr).all():
+            raise ValueError("offspring probabilities must be finite")
         if any(x < 0 for x in arr):
             raise ValueError("offspring probabilities must be nonnegative")
         if abs(sum(arr) - 1.0) > 1e-12:
@@ -50,10 +52,7 @@ class OffspringLaw:
 
     def phi(self, z):
         """Generating function value sum_m p_m z^m."""
-        acc = 0.0 + 0.0j
-        for pm in self.p[::-1]:
-            acc = acc * z + pm
-        return acc
+        return horner(self.p, z)
 
     def phi_iterate(self, z, n: int):
         """n-fold composition of the generating function at z."""
@@ -82,8 +81,8 @@ class BranchingGenerator:
         for j, lam in items:
             if j < 2:
                 raise ValueError("branching rates start at offspring count 2")
-            if lam < 0:
-                raise ValueError("branching rates must be nonnegative")
+            if not 0 <= lam < np.inf:
+                raise ValueError("branching rates must be finite and nonnegative")
         self._rates = tuple(items)
 
     @classmethod
@@ -166,13 +165,7 @@ def law_k_transform(law: OffspringLaw, order: int = DEFAULT_ORDER) -> KTransform
     n = max(order, len(law.p) - 1)
     c = np.zeros(n + 1, dtype=np.complex128)
     c[: len(law.p)] = law.p
-    closed = None
-    support = [m for m, pm in enumerate(law.p) if pm > 0]
-    if support == [1]:
-        closed = ClosedForm.dirac(0.0)
-    elif len(support) == 1:
-        closed = ClosedForm.monomial(support[0])
-    return KTransform(TruncatedSeries(c), closed)
+    return KTransform(TruncatedSeries(c))
 
 
 @dataclass(frozen=True)

@@ -250,8 +250,10 @@ def monotone_specialization_defect(phi1, phi2, max_len: int = 8, max_power: int 
     """Sweep the identity cfree(phi1, delta; phi2, phi2) = monotone(phi1, phi2).
 
     Returns (max absolute defect, words checked).  With rational moments
-    the defect is exactly zero.
+    the defect is exactly zero.  Both bounds must be >= 1.
     """
+    if max_len < 1 or max_power < 1:
+        raise ValueError("word length and power bounds must be >= 1")
     evaluator = CFreeEvaluator(phi1, MomentFunctional.delta(), phi2, phi2)
     worst = 0
     count = 0

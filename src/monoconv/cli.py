@@ -59,7 +59,7 @@ def _measure_from_obj(obj, path):
             return CircleMeasure.from_moments([complex(re, im) for re, im in obj["moments"]])
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: invalid measure: {exc}") from exc
     raise InputError(f"{path}: expected an object with 'atoms' or 'moments'")
 
@@ -72,17 +72,19 @@ def _generator_from_obj(obj, path):
         if "b" in obj or "rho" in obj:
             rho = [(r["angle"], r["weight"]) for r in obj.get("rho", [])]
             return HerglotzGenerator(b=obj.get("b", 0.0), rho=rho)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: invalid generator: {exc}") from exc
     raise InputError(f"{path}: expected 'b'/'rho' (Herglotz) or 'rates' (branching)")
 
 
 def _k_from_obj(obj, path, order):
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: expected an object with 'series', 'atoms' or 'moments'")
     if "series" in obj:
         try:
             coeffs = [complex(re, im) for re, im in obj["series"]]
             return KTransform(TruncatedSeries(coeffs))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{path}: invalid K-transform series: {exc}") from exc
     if "atoms" in obj or "moments" in obj:
         return k_transform(_measure_from_obj(obj, path), order)
@@ -92,7 +94,7 @@ def _k_from_obj(obj, path, order):
 def _law_from_obj(obj, path):
     try:
         return branching.OffspringLaw(obj["p"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: invalid offspring law: {exc}") from exc
 
 
@@ -104,7 +106,7 @@ def _parse_points(args):
             data = data.get("points", [])
         try:
             pts.extend(complex(re, im) for re, im in data)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{args.grid}: expected a list of [re, im] pairs") from exc
     for text in args.z or []:
         try:

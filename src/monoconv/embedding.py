@@ -81,8 +81,10 @@ def embedding_test(
     :func:`dirac_embedding` for the full countable family).  Grid points
     supplied by the caller are added to the built-in rings for the
     derivative, convergence and positivity checks; the normalization at 0
-    always uses the built-in rings.
+    always uses the built-in rings.  ``k`` must have order >= 1.
     """
+    if k.order < 1:
+        raise DomainError("the embedding test needs a K-transform of order >= 1")
     rot = _rotation_angle(k)
     if rot is not None:
         return _dirac_verdict(rot)
@@ -179,14 +181,11 @@ def _branch_order(bound: int):
 
 def _rotation_angle(k: KTransform):
     """Angle of K if it is exactly a rotation z -> e^{i phi} z, else None."""
-    cf = k.closed_form
-    if cf is not None and cf.kind == "dirac":
-        return cf.angle
     c = k.series.coeffs
-    c1 = c[1] if c.size > 1 else 0.0
+    c1 = c[1]
     if abs(abs(c1) - 1.0) > _ROTATION_TOL:
         return None
-    if c.size > 2 and np.sum(np.abs(c[2:])) > _ROTATION_TOL:
+    if np.sum(np.abs(c[2:])) > _ROTATION_TOL:
         return None
     return canonical_angle(float(np.angle(c1)))
 

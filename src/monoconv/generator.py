@@ -36,14 +36,18 @@ class HerglotzGenerator:
     __slots__ = ("b", "_angles", "_weights", "_omega", "_cweights")
 
     def __init__(self, b: float = 0.0, rho=()):
+        b = float(b)
         pairs = list(rho)
-        angles = np.array([canonical_angle(t) for t, _ in pairs], dtype=float)
+        angles = np.array([t for t, _ in pairs], dtype=float)
         weights = np.array([w for _, w in pairs], dtype=float)
+        if not (np.isfinite(b) and np.isfinite(angles).all() and np.isfinite(weights).all()):
+            raise ValueError("Herglotz b, angles and weights must be finite")
+        angles = np.array([canonical_angle(t) for t in angles], dtype=float)
         if np.any(weights < 0):
             raise ValueError("Herglotz weights must be nonnegative")
         angles.setflags(write=False)
         weights.setflags(write=False)
-        self.b = float(b)
+        self.b = b
         self._angles = angles
         self._weights = weights
         # eval-time constants: the atoms omega_j = e^{i angle_j} and complex weights

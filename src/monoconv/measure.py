@@ -5,6 +5,9 @@ finite moment sequence m_k = integral of x^k.  The moment generating
 function psi(z) = sum_{k>=1} m_k z^k determines the K-transform
 K = psi / (1 + psi), a holomorphic self-map of the disk with K(0) = 0 that
 characterizes the measure completely.
+
+A :class:`KTransform` is its truncated Taylor series and nothing else, so
+a transform of order N determines the moments m_1..m_N and no more.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ class CircleMeasure:
             m = np.array(moments, dtype=np.complex128)
             if m.ndim != 1 or m.size == 0:
                 raise ValueError("moment sequence must be a non-empty 1-d sequence")
+            if not np.isfinite(m).all():
+                raise ValueError("moments must be finite")
             if np.max(np.abs(m)) > 1.0 + _MOMENT_TOL:
                 raise ValueError("moments of a circle measure must satisfy |m_k| <= 1")
             m.setflags(write=False)
@@ -45,10 +50,13 @@ class CircleMeasure:
             self._weights = None
             self._moments = m
             return
-        a = np.array([canonical_angle(t) for t in np.atleast_1d(angles)], dtype=float)
+        a = np.array(angles, dtype=float, ndmin=1)
         w = np.array(weights, dtype=float)
         if a.shape != w.shape or a.ndim != 1 or a.size == 0:
             raise ValueError("angles and weights must be 1-d sequences of equal length")
+        if not (np.isfinite(a).all() and np.isfinite(w).all()):
+            raise ValueError("atom angles and weights must be finite")
+        a = np.array([canonical_angle(t) for t in a], dtype=float)
         if np.any(w < 0):
             raise ValueError("atom weights must be nonnegative")
         if abs(w.sum() - 1.0) > _WEIGHT_TOL:
@@ -132,69 +140,48 @@ class CircleMeasure:
 
 
 @dataclass(frozen=True)
-class ClosedForm:
-    """Tag enabling exact evaluation of special K-transforms."""
-
-    kind: str  # "dirac" | "haar" | "monomial"
-    angle: float = 0.0
-    degree: int = 1
-
-    @staticmethod
-    def dirac(angle: float) -> "ClosedForm":
-        return ClosedForm("dirac", angle=canonical_angle(angle))
-
-    @staticmethod
-    def haar() -> "ClosedForm":
-        return ClosedForm("haar")
-
-    @staticmethod
-    def monomial(degree: int) -> "ClosedForm":
-        return ClosedForm("monomial", degree=degree)
-
-
-@dataclass(frozen=True)
 class KTransform:
     """A holomorphic self-map of the disk with K(0) = 0, held as a series.
 
-    ``closed_form`` optionally tags measures whose transform has an exact
-    expression (point masses, Haar, uniform roots of unity), in which case
-    pointwise evaluation bypasses the truncated polynomial.
+    The series is the whole transform: a point mass, Haar measure and the
+    uniform measure on the d-th roots of unity have the polynomial
+    transforms e^{i angle} z, 0 and z^d, which a truncated series holds
+    exactly.  Coefficients must be finite.
     """
 
     series: TruncatedSeries
-    closed_form: ClosedForm | None = None
 
     def __post_init__(self):
-        if self.series.coeffs[0] != 0:
+        c = self.series.coeffs
+        if not np.isfinite(c).all():
+            raise ValueError("K-transform coefficients must be finite")
+        if c[0] != 0:
             raise DomainError("a K-transform must vanish at the origin")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_coefficients(cls, coeffs, closed_form=None) -> "KTransform":
-        return cls(TruncatedSeries(coeffs), closed_form)
+    def from_coefficients(cls, coeffs) -> "KTransform":
+        return cls(TruncatedSeries(coeffs))
 
     @classmethod
     def identity(cls, order: int = DEFAULT_ORDER) -> "KTransform":
-        return cls(TruncatedSeries.identity(order), ClosedForm.dirac(0.0))
+        return cls(TruncatedSeries.identity(order))
 
     @classmethod
     def dirac(cls, angle: float, order: int = DEFAULT_ORDER) -> "KTransform":
         """K(z) = e^{i*angle} z, the transform of a point mass."""
-        return cls(
-            np.exp(1j * angle) * TruncatedSeries.identity(order),
-            ClosedForm.dirac(angle),
-        )
+        return cls(np.exp(1j * angle) * TruncatedSeries.identity(order))
 
     @classmethod
     def haar(cls, order: int = DEFAULT_ORDER) -> "KTransform":
-        return cls(TruncatedSeries.zero(order), ClosedForm.haar())
+        return cls(TruncatedSeries.zero(order))
 
     @classmethod
     def monomial(cls, degree: int, order: int = DEFAULT_ORDER) -> "KTransform":
         """K(z) = z^degree, the transform of the uniform measure on the
         degree-th roots of unity."""
-        return cls(TruncatedSeries.monomial(degree, order), ClosedForm.monomial(degree))
+        return cls(TruncatedSeries.monomial(degree, order))
 
     # -- evaluation --------------------------------------------------------
 
@@ -203,40 +190,12 @@ class KTransform:
         return self.series.order
 
     def eval(self, z):
-        """K(z), exact for tagged closed forms, Horner otherwise.
-
-        Accepts scalars or numpy arrays.
-        """
-        cf = self.closed_form
-        if cf is not None:
-            if cf.kind == "dirac":
-                return np.exp(1j * cf.angle) * z
-            if cf.kind == "haar":
-                return np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0j
-            if cf.kind == "monomial":
-                return np.asarray(z, dtype=complex) ** cf.degree if np.ndim(z) else z**cf.degree
-        return self._horner(self.series.coeffs, z)
+        """K(z) at a scalar or an array, by Horner's rule on the series."""
+        return self.series(z)
 
     def derivative_eval(self, z):
-        """K'(z), matching the evaluation rule of :meth:`eval`."""
-        cf = self.closed_form
-        if cf is not None:
-            if cf.kind == "dirac":
-                return np.full_like(np.asarray(z, dtype=complex), np.exp(1j * cf.angle)) if np.ndim(z) else np.exp(1j * cf.angle)
-            if cf.kind == "haar":
-                return np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0j
-            if cf.kind == "monomial":
-                d = cf.degree
-                return d * (np.asarray(z, dtype=complex) ** (d - 1)) if np.ndim(z) else d * z ** (d - 1)
-        return self._horner(self.series.derivative().coeffs, z)
-
-    @staticmethod
-    def _horner(coeffs, z):
-        z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(z)
-        for ck in coeffs[::-1]:
-            acc = acc * z + ck
-        return acc if acc.ndim else complex(acc)
+        """K'(z) at a scalar or an array, by Horner's rule on the derivative."""
+        return self.series.derivative()(z)
 
     @property
     def derivative_at_zero(self) -> complex:
@@ -244,23 +203,7 @@ class KTransform:
 
     def compose(self, other: "KTransform") -> "KTransform":
         """The K-transform z -> self(other(z))."""
-        cf = _compose_closed_forms(self.closed_form, other.closed_form)
-        return KTransform(self.series.compose(other.series), cf)
-
-
-def _compose_closed_forms(outer, inner):
-    if outer is not None and outer.kind == "haar":
-        return ClosedForm.haar()
-    if inner is not None and inner.kind == "haar":
-        # outer(0) = 0 for every K-transform
-        return ClosedForm.haar()
-    if outer is None or inner is None:
-        return None
-    if outer.kind == "dirac" and inner.kind == "dirac":
-        return ClosedForm.dirac(outer.angle + inner.angle)
-    if outer.kind == "monomial" and inner.kind == "monomial":
-        return ClosedForm.monomial(outer.degree * inner.degree)
-    return None
+        return KTransform(self.series.compose(other.series))
 
 
 # -- transforms ------------------------------------------------------------
@@ -275,11 +218,9 @@ def k_transform(mu: CircleMeasure, n: int | None = None) -> KTransform:
     if n is None:
         n = DEFAULT_ORDER if mu.is_atomic else min(DEFAULT_ORDER, mu.n_moments)
     if mu.is_atomic:
-        angles, weights = mu.atoms
-        if angles.size == 1:
+        angles, _ = mu.atoms
+        if angles.size == 1:  # exactly e^{i angle} z; psi / (1 + psi) leaves rounding
             return KTransform.dirac(angles[0], n)
-    elif not np.any(mu.moments(mu.n_moments)):
-        return KTransform.haar(n)
     psi = mu.psi_series(n)
     return KTransform(psi * (1 + psi).reciprocal())
 
@@ -290,23 +231,12 @@ def moments_from_k(k: KTransform, n: int = DEFAULT_ORDER) -> np.ndarray:
     Inverts K = psi/(1+psi) as psi = K/(1-K) and reads the coefficients.
     """
     if k.series.order < n:
-        cf = k.closed_form
-        if cf is None:
-            raise DomainError(
-                f"K-transform series has order {k.series.order}, cannot produce {n} moments"
-            )
-        k = _regenerate(cf, n)
+        raise DomainError(
+            f"K-transform series has order {k.series.order}, cannot produce {n} moments"
+        )
     ks = k.series.truncate(n)
     psi = ks * (1 - ks).reciprocal()
     return psi.coeffs[1:].copy()
-
-
-def _regenerate(cf: ClosedForm, order: int) -> KTransform:
-    if cf.kind == "dirac":
-        return KTransform.dirac(cf.angle, order)
-    if cf.kind == "haar":
-        return KTransform.haar(order)
-    return KTransform.monomial(cf.degree, order)
 
 
 @dataclass(frozen=True)
@@ -333,26 +263,17 @@ def validate_k(k) -> KValidationReport:
     Accepts a :class:`KTransform` or a bare :class:`TruncatedSeries` (the
     latter so that candidates violating K(0) = 0 can still be diagnosed).
     """
-    if isinstance(k, TruncatedSeries):
-        series = k
-        transform = KTransform(series) if series.coeffs[0] == 0 else None
-    else:
-        series = k.series
-        transform = k
+    series = k if isinstance(k, TruncatedSeries) else k.series
     k_at_zero_ok = series.coeffs[0] == 0
 
-    grid = ring_grid((0.3, 0.6, 0.9), 64)
-    if transform is not None:
-        vals = transform.eval(grid)
-    else:
-        vals = KTransform._horner(series.coeffs, grid)
+    vals = series(ring_grid((0.3, 0.6, 0.9), 64))
     max_mod = float(np.max(np.abs(vals)))
     schur_ok = max_mod < 1.0 + 1e-9
 
     min_eig = np.inf
     toeplitz_ok = True
     if k_at_zero_ok:
-        m = moments_from_k(transform, series.order)
+        m = moments_from_k(KTransform(series), series.order)
         size = m.size // 2 + 1
         if size >= 2:
             eigs = np.linalg.eigvalsh(toeplitz_from_moments(m, size))

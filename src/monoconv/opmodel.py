@@ -268,8 +268,11 @@ def random_composition_suite(
     states, contractions of norm <= 0.8 for the left generators and the
     right operator, unit-modulus scalar parts with a2 = 1/a1 (which puts
     V2 V1 - 1 in the left image), and ``points_per_case`` points with
-    |z| <= z_radius.  Returns the worst defect and per-case summaries.
+    |z| <= z_radius.  Returns the worst defect (over >= 1 cases) and
+    per-case summaries.
     """
+    if cases < 1:
+        raise ValueError("need at least one case")
     rng = np.random.default_rng(seed)
     dims = [(2, 2), (2, 3), (3, 2)]
     worst = 0.0

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StepSizeUnderflowError
-from .measure import KTransform
 from .series import DEFAULT_ORDER, TruncatedSeries, _fill_power_columns
 
 __all__ = [
@@ -261,10 +260,6 @@ class SemigroupTrajectory:
     times: tuple
     points: tuple
     values: tuple  # tuple of tuples, complex
-
-    def k_transform(self, i: int, gen, order: int = DEFAULT_ORDER) -> KTransform:
-        """Coefficient-series transform at times[i] (needs u(0) != 0)."""
-        return KTransform(flow_coefficients(gen, self.times[i], order))
 
 
 def trajectory(gen, times, grid, tol: float = 1e-10) -> SemigroupTrajectory:

@@ -18,6 +18,9 @@ multiply-adds at order n, one matrix-vector product per column, and lets
 :func:`~monoconv.semigroup.flow_coefficients` fill the same table while
 it is still solving for g.
 
+:func:`horner` is the one polynomial evaluator of the package, for
+series, K-transforms and offspring generating functions alike.
+
 Coefficients are double-precision complex numbers.  Series are immutable;
 every operation returns a new instance.
 """
@@ -30,6 +33,20 @@ from .errors import DomainError
 
 #: Default truncation order used throughout the package.
 DEFAULT_ORDER = 32
+
+
+def horner(coeffs, z):
+    """sum_k coeffs[k] z^k by Horner's rule, for a scalar or an array ``z``.
+
+    ``coeffs`` is any sequence c_0..c_N.  ``z`` is used as given, so a
+    scalar stays on scalar arithmetic.  An array value may differ from the
+    scalar value at the same point in the last bits: numpy's vectorised
+    complex multiply may fuse multiply-adds where the scalar one does not.
+    """
+    acc = 0j
+    for ck in coeffs[::-1]:
+        acc = acc * z + ck
+    return acc
 
 
 def _fill_power_columns(table: np.ndarray, start: int, stop: int) -> None:
@@ -184,17 +201,14 @@ class TruncatedSeries:
 
     # -- evaluation --------------------------------------------------------
 
-    def __call__(self, z) -> complex:
-        """Horner evaluation of the truncated polynomial at ``z``.
+    def __call__(self, z):
+        """The truncated polynomial at a scalar or an array ``z``, by :func:`horner`.
 
         The caller picks |z| small enough for the truncation to be
         acceptable: when all |c_k| <= 1 the dropped tail is bounded by
         |z|^(N+1) / (1 - |z|).
         """
-        acc = 0.0 + 0.0j
-        for ck in self._c[::-1]:
-            acc = acc * z + ck
-        return complex(acc)
+        return horner(self._c, z)
 
     # -- comparison / repr -------------------------------------------------
 

@@ -103,16 +103,29 @@ def test_law_validation():
         OffspringLaw([1.5, -0.5])
 
 
+@pytest.mark.parametrize("p", [[np.nan, 1.0], [0.0, np.inf], [np.nan]])
+def test_law_rejects_non_finite_probabilities(p):
+    with pytest.raises(ValueError, match="finite"):
+        OffspringLaw(p)
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf])
+def test_branching_rates_must_be_finite(rate):
+    with pytest.raises(ValueError, match="finite"):
+        BranchingGenerator({2: 1.0, 3: rate})
+
+
 def test_k_link_identity():
     k = law_k_transform(OffspringLaw([0, 1.0]))
-    assert k.closed_form is not None and k.closed_form.kind == "dirac"
+    for z in (0.3 + 0.2j, -0.7j, 0.95):
+        assert k.eval(z) == z
     assert validate_k(k).all_ok
 
 
 def test_k_link_doubling():
     k = law_k_transform(OffspringLaw([0, 0, 1.0]))
-    assert k.closed_form is not None and k.closed_form.kind == "monomial"
-    assert k.closed_form.degree == 2
+    for z in (0.3 + 0.2j, -0.7j, 0.95):
+        assert k.eval(z) == z**2
     assert validate_k(k).all_ok
 
 

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from monoconv import embedding
 from monoconv.branching import BranchingGenerator
 from monoconv.embedding import dirac_embedding, embedding_test
+from monoconv.errors import DomainError
 from monoconv.generator import HerglotzGenerator
 from monoconv.measure import KTransform
 from monoconv.semigroup import flow_coefficients
@@ -139,3 +141,9 @@ def test_richardson_scale_follows_the_ring_constants():
     # innermost radii 0.2 and 0.4 give the weight 2^8, and exactly so
     assert embedding._RING_RADII[:2] == (0.2, 0.4) and embedding._RING_ANGLES == 8
     assert embedding._RICHARDSON_SCALE == 256.0
+
+
+def test_order_zero_transform_is_a_domain_error():
+    # K'(0) is not stored, so there is nothing to test
+    with pytest.raises(DomainError):
+        embedding_test(KTransform.from_coefficients([0.0]))

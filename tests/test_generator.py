@@ -91,3 +91,12 @@ def test_beta_is_exact():
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         HerglotzGenerator(0.0, [(0.0, -0.1)])
+
+
+@pytest.mark.parametrize(
+    "b, rho",
+    [(np.nan, ()), (np.inf, ()), (0.0, [(0.0, np.nan)]), (0.0, [(np.nan, 0.5)]), (0.0, [(1.0, np.inf)])],
+)
+def test_non_finite_parameters_rejected(b, rho):
+    with pytest.raises(ValueError, match="finite"):
+        HerglotzGenerator(b=b, rho=rho)

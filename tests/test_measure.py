@@ -55,13 +55,27 @@ def test_weights_validation():
         CircleMeasure.from_atoms([0.0, 1.0], [1.5, -0.5])
 
 
+@pytest.mark.parametrize(
+    "angles, weights",
+    [([np.nan], [1.0]), ([np.inf], [1.0]), ([0.0, 1.0], [np.nan, 1.0]), ([0.0], [np.inf])],
+)
+def test_non_finite_atoms_rejected(angles, weights):
+    with pytest.raises(ValueError, match="finite"):
+        CircleMeasure.from_atoms(angles, weights)
+
+
+@pytest.mark.parametrize("moments", [[np.nan], [0.5, complex(0.0, np.nan)]])
+def test_non_finite_moments_rejected(moments):
+    with pytest.raises(ValueError, match="finite"):
+        CircleMeasure.from_moments(moments)
+
+
 # -- K-transform -------------------------------------------------------------
 
 
 def test_k_transform_dirac_closed_form():
     phi = 1.2345
     k = k_transform(CircleMeasure.dirac(phi), 12)
-    assert k.closed_form is not None and k.closed_form.kind == "dirac"
     expect = np.zeros(13, dtype=complex)
     expect[1] = np.exp(1j * phi)
     assert np.allclose(k.series.coeffs, expect, atol=0)
@@ -70,8 +84,8 @@ def test_k_transform_dirac_closed_form():
 
 def test_k_transform_haar_is_zero():
     k = k_transform(CircleMeasure.haar(16), 16)
-    assert k.closed_form is not None and k.closed_form.kind == "haar"
     assert np.allclose(k.series.coeffs, 0, atol=0)
+    assert k.eval(0.3 + 0.2j) == 0 and np.all(k.eval(np.array([0.5, -0.9j])) == 0)
 
 
 def test_k_transform_two_point_is_square():
@@ -103,6 +117,20 @@ def test_moments_from_rotation():
 
 def test_moments_from_haar():
     assert np.allclose(moments_from_k(KTransform.haar(10), 10), 0, atol=0)
+
+
+def test_short_transform_gives_no_further_moments():
+    # a series of order 8 determines m_1..m_8 only, whatever measure it came from
+    with pytest.raises(DomainError):
+        moments_from_k(KTransform.dirac(0.7, 8), 16)
+    with pytest.raises(DomainError):
+        k_transform(CircleMeasure.haar(8), 16)
+
+
+@pytest.mark.parametrize("coeffs", [[0.0, np.nan], [0.0, 0.5, complex(np.inf, 0.0)]])
+def test_k_transform_rejects_non_finite_coefficients(coeffs):
+    with pytest.raises(ValueError, match="finite"):
+        KTransform.from_coefficients(coeffs)
 
 
 def test_round_trip_random_atomic():

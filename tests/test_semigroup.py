@@ -8,7 +8,7 @@ from monoconv._util import ring_grid
 from monoconv.branching import BranchingGenerator, yule_flow
 from monoconv.errors import DomainError, StepSizeUnderflowError
 from monoconv.generator import HerglotzGenerator
-from monoconv.measure import k_transform, validate_k
+from monoconv.measure import KTransform, k_transform, validate_k
 from monoconv.semigroup import (
     evolve,
     evolve_pointwise,
@@ -335,7 +335,7 @@ def test_trajectory_snapshots():
     traj = trajectory(gen, [0.0, 0.5, 1.0], grid, tol=1e-10)
     assert traj.values[0] == tuple(complex(z) for z in grid)  # identity at t = 0
     for i in range(3):
-        rep = validate_k(traj.k_transform(i, gen))
+        rep = validate_k(KTransform(flow_coefficients(gen, traj.times[i], 32)))
         assert rep.all_ok
     # snapshots agree with the coefficient route where both apply
     f = flow_coefficients(gen, 0.5, 32)

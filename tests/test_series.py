@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from oracles import horner_compose
 
 from monoconv.errors import DomainError
-from monoconv.series import TruncatedSeries
+from monoconv.series import TruncatedSeries, horner
 
 
 def rand_series(rng, order):
@@ -172,3 +172,35 @@ def test_immutability():
     f = TruncatedSeries([1.0, 2.0])
     with pytest.raises(ValueError):
         f.coeffs[0] = 5.0
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(deadline=None)
+@given(
+    coeffs=st.lists(st.builds(complex, _unit, _unit), min_size=1, max_size=41),
+    points=st.lists(st.builds(complex, _unit, _unit), min_size=1, max_size=20),
+)
+def test_horner_arrays_scalars_and_polyval_agree(coeffs, points):
+    c, z = np.array(coeffs), np.array(points)
+    # sum_k |c_k| |z|^k, the scale of the rounding error of any evaluation order
+    scale = np.abs(c) @ (np.abs(z)[None, :] ** np.arange(c.size)[:, None])
+    on_array = horner(c, z)
+    on_scalars = np.array([horner(c, zi) for zi in points])
+    polyval = np.polynomial.polynomial.polyval
+    assert on_array.shape == z.shape
+    assert np.all(np.abs(on_array - polyval(z, c)) <= 1e-15 * scale)
+    assert np.all(np.abs(on_scalars - [polyval(zi, c) for zi in points]) <= 1e-15 * scale)
+    # an array and a scalar may round differently (fused multiply-adds in
+    # numpy's vectorised complex multiply); the a-priori Horner bound for
+    # complex arithmetic, twice over, covers the gap
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(on_array - on_scalars) <= 4 * c.size * eps * scale)
+
+
+def test_series_call_is_horner():
+    f = TruncatedSeries([0.5, -1j, 0.25 + 0.5j])
+    z = np.array([0.3 + 0.1j, -0.6j])
+    assert np.array_equal(f(z), horner(f.coeffs, z))
+    assert f(0.3 + 0.1j) == horner(f.coeffs, 0.3 + 0.1j)
