@@ -58,14 +58,12 @@ from .opmodel import (
     spectral_norm,
 )
 from .semigroup import (
-    SemigroupTrajectory,
     evolve,
     evolve_pointwise,
     first_moment_law,
     flow_coefficients,
     generator_from_flow,
     semigroup_defect,
-    trajectory,
 )
 from .series import DEFAULT_ORDER, TruncatedSeries
 
@@ -87,7 +85,6 @@ __all__ = [
     "MomentFunctional",
     "OffspringLaw",
     "SandwichReport",
-    "SemigroupTrajectory",
     "StepSizeUnderflowError",
     "SupercriticalOverflowError",
     "TruncatedSeries",
@@ -122,7 +119,6 @@ __all__ = [
     "semigroup_defect",
     "simulate_gw",
     "spectral_norm",
-    "trajectory",
     "validate_k",
     "yule_flow",
 ]

@@ -14,8 +14,8 @@ letterwise.  :class:`CFreeEvaluator` turns that rule into a recursion,
 splitting at the first letter that is not yet psi-centered; fully centered
 words hit the product base case.  Centered constant terms are constructed
 so the centering test is exact in both rational and floating arithmetic,
-results are memoized on canonical words, and the word length is capped to
-keep the expansion bounded.
+results are memoized on the recursion states, and the word length is
+capped to keep the expansion bounded.
 
 Specializations: psi_i = phi_i gives the free product, psi_i = delta
 (vanishing on all generator powers) the boolean product, and
@@ -46,15 +46,16 @@ _MAX_WORD_LEN = 16
 class Word:
     """Letters (algebra, power) with algebra in {1, 2} and power >= 0.
 
-    Canonical form merges adjacent letters from the same algebra (powers
-    add) and drops power-0 letters, so adjacent algebra indices alternate.
-    The empty word is the unit.
+    A word is canonical from construction: adjacent letters from the same
+    algebra merge (powers add) and power-0 letters drop, so adjacent
+    algebra indices alternate and two words equal as algebra elements
+    compare equal.  The empty word is the unit.
     """
 
     letters: tuple
 
     def __init__(self, letters):
-        norm = []
+        merged = []
         for alg, power in letters:
             alg = int(alg)
             power = int(power)
@@ -62,19 +63,17 @@ class Word:
                 raise ValueError("algebra index must be 1 or 2")
             if power < 0:
                 raise ValueError("letter powers must be >= 0")
-            norm.append((alg, power))
-        object.__setattr__(self, "letters", tuple(norm))
-
-    def canonical(self) -> "Word":
-        merged = []
-        for alg, power in self.letters:
             if power == 0:
                 continue
             if merged and merged[-1][0] == alg:
                 merged[-1] = (alg, merged[-1][1] + power)
             else:
                 merged.append((alg, power))
-        return Word(tuple(merged))
+        object.__setattr__(self, "letters", tuple(merged))
+
+    def canonical(self) -> "Word":
+        """The word itself: construction already canonicalizes."""
+        return self
 
     def swapped(self) -> "Word":
         """The word with the two algebra labels exchanged."""
@@ -132,10 +131,8 @@ def monotone_eval(word: Word, phi1: MomentFunctional, phi2: MomentFunctional):
     Equals phi_1 at the total first-algebra power times the product of
     phi_2 over the individual second-algebra letters.
     """
-    w = word.canonical()
-    total_left = sum(p for alg, p in w.letters if alg == 1)
-    val = phi1(total_left)
-    for alg, p in w.letters:
+    val = phi1(sum(p for alg, p in word.letters if alg == 1))
+    for alg, p in word.letters:
         if alg == 2:
             val = val * phi2(p)
     return val
@@ -145,8 +142,9 @@ class CFreeEvaluator:
     """Evaluator for the two-state product functional with a shared memo.
 
     Reuse one instance to evaluate many words against the same four
-    functionals; canonical subwords repeat heavily across a sweep and the
-    memo is keyed on them.
+    functionals; subwords repeat heavily across a sweep and the memo is
+    keyed on them.  Words arrive canonical (see :class:`Word`), so a word
+    is only translated into the recursion's letter-polynomial state.
     """
 
     def __init__(self, phi1, psi1, phi2, psi2, max_word_len: int = _MAX_WORD_LEN):
@@ -156,12 +154,11 @@ class CFreeEvaluator:
         self._memo = {}
 
     def eval(self, word: Word):
-        w = word.canonical()
-        if len(w) > self.max_word_len:
+        if len(word) > self.max_word_len:
             raise DomainError(
-                f"word length {len(w)} exceeds the expansion cap {self.max_word_len}"
+                f"word length {len(word)} exceeds the expansion cap {self.max_word_len}"
             )
-        state = tuple((alg, (0,) * p + (1,)) for alg, p in w.letters)
+        state = tuple((alg, (0,) * p + (1,)) for alg, p in word.letters)
         return self._value(state)
 
     # letters are polynomials in the generator; index = power, monic by
@@ -171,46 +168,36 @@ class CFreeEvaluator:
             return 1
         if len(state) == 1:
             alg, poly = state[0]
-            return self._apply(self._phi[alg], poly)
+            return poly[0] + _tail(self._phi[alg], poly)
         hit = self._memo.get(state)
         if hit is not None:
             return hit
-        split = -1
         for i, (alg, poly) in enumerate(state):
-            tail = self._psi_tail(alg, poly)
+            tail = _tail(self._psi[alg], poly)
             scalar = poly[0] + tail
             if scalar != 0:
-                split = i
+                # poly = scalar*1 + centered, psi(centered) = 0 exactly because
+                # its constant term is literally -tail
+                centered = (-tail,) + poly[1:]
+                keep = state[:i] + ((alg, centered),) + state[i + 1 :]
+                drop = _merge(state[:i], state[i + 1 :])
+                val = scalar * self._value(drop) + self._value(keep)
                 break
-        if split < 0:
+        else:
             val = 1
             for alg, poly in state:
-                val = val * self._apply(self._phi[alg], poly)
-        else:
-            # poly = scalar*1 + centered, psi(centered) = 0 exactly because
-            # its constant term is literally -tail
-            centered = (-tail,) + poly[1:]
-            keep = state[:split] + ((alg, centered),) + state[split + 1 :]
-            drop = _merge(state[:split], state[split + 1 :])
-            val = scalar * self._value(drop) + self._value(keep)
+                val = val * (poly[0] + _tail(self._phi[alg], poly))
         self._memo[state] = val
         return val
 
-    def _psi_tail(self, alg, poly):
-        psi = self._psi[alg]
-        tail = 0
-        for k in range(1, len(poly)):
-            if poly[k] != 0:
-                tail = tail + poly[k] * psi(k)
-        return tail
 
-    @staticmethod
-    def _apply(functional, poly):
-        val = poly[0]
-        for k in range(1, len(poly)):
-            if poly[k] != 0:
-                val = val + poly[k] * functional(k)
-        return val
+def _tail(functional, poly):
+    """sum_{k >= 1} poly[k] * functional(k), skipping zero coefficients."""
+    tail = 0
+    for k in range(1, len(poly)):
+        if poly[k] != 0:
+            tail = tail + poly[k] * functional(k)
+    return tail
 
 
 def _merge(left, right):

@@ -13,6 +13,7 @@ validation errors), 3 mathematical domain errors, 4 numerical failures
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -33,6 +34,17 @@ EXIT_NUMERIC = 4
 
 class InputError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that raises :class:`InputError` instead of printing usage.
+
+    Bad arguments then end in the same JSON error line as any other invalid
+    input; subparsers inherit the class.
+    """
+
+    def error(self, message):
+        raise InputError(message)
 
 
 # -- input parsing -----------------------------------------------------------
@@ -208,19 +220,7 @@ def _cmd_embed(args):
     verdict = embedding.embedding_test(
         k, max_iter=args.max_iter, conv_tol=args.conv_tol
     )
-    payload = {
-        "embeddable": verdict.embeddable,
-        "reason": verdict.reason,
-        "t0": verdict.t0,
-        "beta": verdict.beta,
-        "branch_index": verdict.branch_index,
-        "branches_found": list(verdict.branches_found),
-        "product": verdict.product,
-        "iterations": verdict.iterations,
-        "grid": list(verdict.grid),
-        "u_estimate": list(verdict.u_estimate) if verdict.u_estimate else None,
-    }
-    _emit_json(payload, args.out)
+    _emit_json(dataclasses.asdict(verdict), args.out)
     return 0
 
 
@@ -240,20 +240,7 @@ def _cmd_gw(args):
 
 
 def _cmd_counterexample(args):
-    rep = opmodel.sandwich_counterexample(args.a, args.b)
-    payload = {
-        "a": rep.a,
-        "b": rep.b,
-        "eigenvalues_xyx": list(rep.eigenvalues_xyx),
-        "eigenvalues_yxy": list(rep.eigenvalues_yxy),
-        "eigenvalues_formula": list(rep.eigenvalues_formula),
-        "second_moment_xyx": rep.second_moment_xyx,
-        "second_moment_yxy": rep.second_moment_yxy,
-        "second_moment_xyx_formula": rep.second_moment_xyx_formula,
-        "second_moment_yxy_formula": rep.second_moment_yxy_formula,
-        "sqrt_formula_defect": rep.sqrt_formula_defect,
-    }
-    _emit_json(payload, args.out)
+    _emit_json(dataclasses.asdict(opmodel.sandwich_counterexample(args.a, args.b)), args.out)
     return 0
 
 
@@ -289,7 +276,7 @@ def _cmd_verify_ops(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="monoconv",
         description="Multiplicative monotone convolution toolkit for circle measures.",
     )
@@ -357,11 +344,9 @@ def _fail(code, kind, message):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        return _fail(EXIT_INPUT, "invalid-input", str(exc))
     except DomainError as exc:
         return _fail(EXIT_DOMAIN, "domain-error", str(exc))
     except (StepSizeUnderflowError, SupercriticalOverflowError) as exc:

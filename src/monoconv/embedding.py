@@ -81,8 +81,19 @@ def embedding_test(
     :func:`dirac_embedding` for the full countable family).  Grid points
     supplied by the caller are added to the built-in rings for the
     derivative, convergence and positivity checks; the normalization at 0
-    always uses the built-in rings.  ``k`` must have order >= 1.
+    always uses the built-in rings.  ``k`` must have order >= 1, and the
+    limits must let the test run: ``max_iter >= 1``, ``conv_tol`` finite
+    and > 0, ``branch_bound >= 0`` and ``positivity_tol`` finite and >= 0
+    (a ``ValueError`` otherwise).
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if not 0.0 < conv_tol < np.inf:
+        raise ValueError("conv_tol must be finite and > 0")
+    if branch_bound < 0:
+        raise ValueError("branch_bound must be >= 0")
+    if not 0.0 <= positivity_tol < np.inf:
+        raise ValueError("positivity_tol must be finite and >= 0")
     if k.order < 1:
         raise DomainError("the embedding test needs a K-transform of order >= 1")
     rot = _rotation_angle(k)

@@ -69,11 +69,6 @@ class HerglotzGenerator:
         return cls(0.0, [(2.0 * np.pi * j / n, w) for j in range(n)])
 
     @property
-    def rho(self):
-        """(angles, weights) arrays of the representing measure."""
-        return self._angles, self._weights
-
-    @property
     def mass(self) -> float:
         return float(self._weights.sum())
 

@@ -13,6 +13,7 @@ a transform of order N determines the moments m_1..m_N and no more.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -193,9 +194,16 @@ class KTransform:
         """K(z) at a scalar or an array, by Horner's rule on the series."""
         return self.series(z)
 
+    @cached_property
+    def _derivative(self) -> TruncatedSeries:
+        return self.series.derivative()
+
     def derivative_eval(self, z):
-        """K'(z) at a scalar or an array, by Horner's rule on the derivative."""
-        return self.series.derivative()(z)
+        """K'(z) at a scalar or an array, by Horner's rule on the derivative.
+
+        The derivative series is built once per transform, on first use.
+        """
+        return self._derivative(z)
 
     @property
     def derivative_at_zero(self) -> complex:

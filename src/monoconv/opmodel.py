@@ -153,32 +153,35 @@ def spectral_norm(x) -> float:
     return float(np.linalg.norm(np.asarray(x, dtype=complex), 2))
 
 
-def _is_unitary(x) -> bool:
-    x = np.asarray(x)
-    return bool(np.linalg.norm(x.conj().T @ x - np.eye(x.shape[0]), 2) <= 1e-10)
+def k_operator(x, omega, z):
+    """K-transform of the operator ``x`` in the vector state ``omega``.
 
-
-def k_operator(x, omega, z: complex) -> complex:
-    """K-transform of the operator ``x`` in the vector state ``omega`` at z.
-
-    psi(z) = <omega, z x (1 - z x)^{-1} omega> via one linear solve, then
-    K = psi / (1 + psi).  Requires |z| < 1/||x|| (the exact spectral norm,
-    :func:`spectral_norm`), or |z| < 1 when x is unitary.
+    psi(z) = <omega, z x (1 - z x)^{-1} omega>, then K = psi / (1 + psi).
+    ``z`` is a scalar (the result is a ``complex``) or an array of points
+    (the result has its shape); all points are solved in one batched
+    linear solve against one norm, :func:`spectral_norm`.  Every point must
+    satisfy |z| < 1/||x||; for a unitary x that bound is 1 up to rounding.
     """
     x = np.asarray(x, dtype=complex)
     omega = np.asarray(omega, dtype=complex).ravel()
-    z = complex(z)
-    bound = 1.0 if _is_unitary(x) else 1.0 / max(spectral_norm(x), 1e-300)
-    if abs(z) >= bound:
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    bound = 1.0 / max(spectral_norm(x), 1e-300)
+    if not np.all(np.abs(flat) < bound):
         raise DomainError(f"|z| must be below {bound:.6g} for this operator")
+    resolvents = np.eye(x.shape[0]) - flat[:, None, None] * x
     try:
-        w = np.linalg.solve(np.eye(x.shape[0]) - z * x, omega)
+        w = np.linalg.solve(resolvents, omega[:, None])
     except np.linalg.LinAlgError as exc:
-        raise DomainError(f"resolvent is singular at z={z!r}") from exc
-    psi = complex(np.vdot(omega, z * (x @ w)))
-    if abs(1.0 + psi) < 1e-14:
-        raise DomainError(f"1 + psi vanishes at z={z!r}; K-transform undefined there")
-    return psi / (1.0 + psi)
+        raise DomainError("resolvent is singular at one of the points") from exc
+    psi = flat * ((x @ w)[..., 0] @ omega.conj())
+    vanish = np.abs(1.0 + psi) < 1e-14
+    if vanish.any():
+        raise DomainError(
+            f"1 + psi vanishes at z={complex(flat[vanish][0])!r}; K-transform undefined there"
+        )
+    k = (psi / (1.0 + psi)).reshape(zs.shape)
+    return k if k.ndim else complex(k)
 
 
 def operator_moments(x, omega, n: int) -> np.ndarray:
@@ -229,14 +232,10 @@ def k_composition_defect(model: MatrixModel, v1: str, v2: str, w: str, z_grid) -
     if not _in_right_image(model, mw):
         raise DomainError("W has a component outside the right image")
     omega = model.state
-    sandwich = mv1 @ mw @ mv2
-    v1v2 = mv1 @ mv2
-    worst = 0.0
-    for z in np.asarray(z_grid, dtype=complex).ravel():
-        lhs = k_operator(sandwich, omega, z)
-        rhs = k_operator(v1v2, omega, k_operator(mw, omega, z))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    zs = np.asarray(z_grid, dtype=complex).ravel()
+    lhs = k_operator(mv1 @ mw @ mv2, omega, zs)
+    rhs = k_operator(mv1 @ mv2, omega, k_operator(mw, omega, zs))
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def random_unitary(rng, dim: int) -> np.ndarray:

@@ -17,7 +17,7 @@ distinct times of the call and records the values at each of them.  All
 points share the step, and a step is accepted only when every point meets
 the local error test, so a value depends on the other points of the same
 call at the level of the tolerance (identical calls give identical values).
-:func:`first_moment_law`, :func:`semigroup_defect`, :func:`trajectory` and
+:func:`first_moment_law`, :func:`semigroup_defect` and
 :func:`evolve_pointwise` (one time, one point) are thin callers of it.
 
 Any generator object with ``eval``, ``vector_field_at``, ``vector_field``
@@ -26,8 +26,6 @@ and :class:`~monoconv.branching.BranchingGenerator` qualify).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +39,6 @@ __all__ = [
     "semigroup_defect",
     "generator_from_flow",
     "first_moment_law",
-    "SemigroupTrajectory",
-    "trajectory",
 ]
 
 
@@ -246,27 +242,3 @@ def first_moment_law(gen, t: float, radius: float = 0.5, nodes: int = 64, tol: f
     computed = complex(np.mean(vals * np.exp(-1j * theta)) / radius)
     predicted = complex(np.exp(-t * complex(gen.beta)))
     return computed, predicted
-
-
-@dataclass(frozen=True)
-class SemigroupTrajectory:
-    """Flow snapshots K_t(z) on a fixed grid at caller-chosen times.
-
-    ``values[i][j]`` is K at ``times[i]`` and ``points[j]``; the snapshot
-    at t = 0 is the identity.  No interpolation between snapshots is
-    offered.
-    """
-
-    times: tuple
-    points: tuple
-    values: tuple  # tuple of tuples, complex
-
-
-def trajectory(gen, times, grid, tol: float = 1e-10) -> SemigroupTrajectory:
-    """Evolve every grid point to every requested time."""
-    ts = [float(t) for t in times]
-    if any(b < a for a, b in zip(ts, ts[1:])):
-        raise ValueError("times must be non-decreasing")
-    pts = np.asarray(grid, dtype=complex).ravel()
-    rows = tuple(tuple(row) for row in evolve(gen, ts, pts, tol).tolist())
-    return SemigroupTrajectory(times=tuple(ts), points=tuple(pts.tolist()), values=rows)

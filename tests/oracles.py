@@ -1,10 +1,13 @@
-"""Slow reference routes kept as test oracles for the power-table code.
+"""Slow reference routes kept as test oracles.
 
 ``horner_compose`` is nested (Horner) composition on series and
 ``recursion_flow_coefficients`` solves v(f) = v f' one coefficient at a
 time with one full composition per coefficient.  Neither shares code with
-the power table of :mod:`monoconv.series`.
+the power table of :mod:`monoconv.series`.  ``merge_and_drop`` is the
+canonical form of a cfree word, computed apart from ``Word``.
 """
+
+from itertools import groupby
 
 import numpy as np
 
@@ -32,3 +35,9 @@ def recursion_flow_coefficients(gen, t: float, n: int) -> TruncatedSeries:
         rhs = sum(k * f[k] * v[m + 1 - k] for k in range(1, m))
         f[m] = (rhs - lhs_lower) / ((1 - m) * v[1])
     return TruncatedSeries(f)
+
+
+def merge_and_drop(letters):
+    """Drop power-0 letters, then sum the powers of each run of one algebra."""
+    kept = [(alg, power) for alg, power in letters if power != 0]
+    return tuple((alg, sum(p for _, p in run)) for alg, run in groupby(kept, key=lambda letter: letter[0]))

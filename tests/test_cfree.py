@@ -4,6 +4,9 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import merge_and_drop
 
 from monoconv.cfree import (
     CFreeEvaluator,
@@ -30,8 +33,29 @@ def frac_moments(rng, n):
 
 
 def test_canonicalization_merges_and_drops():
-    w = Word(((1, 2), (1, 1), (2, 0), (1, 3), (2, 2))).canonical()
+    w = Word(((1, 2), (1, 1), (2, 0), (1, 3), (2, 2)))
     assert w.letters == ((1, 6), (2, 2))
+    assert w.canonical() is w
+
+
+def test_words_equal_as_algebra_elements_compare_equal():
+    assert Word(((1, 1), (1, 1))) == Word(((1, 2),))
+    assert Word(((2, 0),)) == Word(()) and len(Word(((2, 0),))) == 0
+    assert hash(Word(((2, 1), (1, 0), (2, 3)))) == hash(Word(((2, 4),)))
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((1, 2)), st.integers(0, 4)), max_size=12))
+def test_word_construction_matches_merge_and_drop_oracle(letters):
+    w = Word(letters)
+    assert w.letters == merge_and_drop(letters)
+    assert Word(w.letters) == w
+
+
+@pytest.mark.parametrize("letters", [((3, 1),), ((0, 1),), ((1, -1),), ((1, 2), (2, -1))])
+def test_word_rejects_bad_letters(letters):
+    with pytest.raises(ValueError):
+        Word(letters)
 
 
 def test_power_zero_letters_are_transparent():

@@ -1,5 +1,8 @@
 """Bad input to every subcommand ends in one JSON error line and exit 2, 3 or 4.
 
+That includes arguments the command line parser rejects (a bad option
+value, an unknown or missing option, a missing or unknown subcommand).
+
 Each case names the files it needs as raw JSON text, so malformed JSON,
 NaN, Infinity and integers too large for a float reach the parser as a
 user would write them.  ``{name}`` in the arguments is replaced by the
@@ -16,6 +19,7 @@ from monoconv.cli import main
 UNIT = '{"atoms": [{"angle": 0.0, "weight": 1.0}]}'
 GEN = '{"b": 0.5}'
 LAW = '{"p": [0, 0.5, 0.5]}'
+TWO_ATOMS = '{"atoms": [{"angle": 0.5, "weight": 0.5}, {"angle": 2.0, "weight": 0.5}]}'
 HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
 
 CASES = [
@@ -88,6 +92,12 @@ CASES = [
     ("embed-nan-atom", ["embed", "{k}"], {"k": '{"atoms": [{"angle": NaN, "weight": 1.0}]}'}, 2),
     ("embed-short-zero-moments", ["embed", "{k}", "--order", "16"], {"k": '{"moments": %s}' % json.dumps([[0, 0]] * 8)}, 3),
     ("embed-order-0-atoms", ["embed", "{unit}", "--order", "0"], {}, 2),
+    ("embed-max-iter-0", ["embed", "{k}", "--max-iter", "0"], {"k": TWO_ATOMS}, 2),
+    ("embed-max-iter-negative", ["embed", "{k}", "--max-iter", "-3"], {"k": TWO_ATOMS}, 2),
+    ("embed-conv-tol-0", ["embed", "{k}", "--conv-tol", "0"], {"k": TWO_ATOMS}, 2),
+    ("embed-conv-tol-negative", ["embed", "{k}", "--conv-tol", "-1"], {"k": TWO_ATOMS}, 2),
+    ("embed-conv-tol-nan", ["embed", "{k}", "--conv-tol", "nan"], {"k": TWO_ATOMS}, 2),
+    ("embed-max-iter-text", ["embed", "{k}", "--max-iter", "many"], {"k": TWO_ATOMS}, 2),
     # gw: offspring laws and sampling
     ("gw-nan-p", ["gw", "{law}", "--n", "2", "--trials", "10"], {"law": '{"p": [NaN, 1.0]}'}, 2),
     ("gw-inf-p", ["gw", "{law}", "--n", "2", "--trials", "10"], {"law": '{"p": [Infinity, 0.5]}'}, 2),
@@ -120,6 +130,20 @@ CASES = [
     ("verify-ops-cases-0", ["verify-ops", "--cases", "0"], {}, 2),
     ("verify-ops-cases-negative", ["verify-ops", "--cases", "-1"], {}, 2),
     ("verify-ops-negative-seed", ["verify-ops", "--cases", "1", "--seed", "-1"], {}, 2),
+    # arguments argparse rejects: bad option values, unknown and missing options
+    ("verify-ops-cases-text", ["verify-ops", "--cases", "abc"], {}, 2),
+    ("verify-ops-unknown-option", ["verify-ops", "--bogus"], {}, 2),
+    ("evolve-no-time", ["evolve", "{gen}", "--z", "0.5"], {"gen": GEN}, 2),
+    ("gw-no-trials", ["gw", "{law}", "--n", "2"], {"law": LAW}, 2),
+    ("convolve-format-unknown", ["convolve", "{unit}", "{unit}", "--format", "xml"], {}, 2),
+    ("cfree-check-len-text", ["cfree-check", "--max-len", "2.5"], {}, 2),
+    ("counterexample-no-b", ["counterexample", "--a", "0.5"], {}, 2),
+]
+
+# no subcommand, or one that does not exist
+TOP_LEVEL_CASES = [
+    ("no-subcommand", [], {}, 2),
+    ("unknown-subcommand", ["nosuch"], {}, 2),
 ]
 
 
@@ -130,7 +154,11 @@ def test_cases_cover_every_subcommand():
     assert {argv[0] for _, argv, _, _ in CASES} == set(subparsers.choices)
 
 
-@pytest.mark.parametrize("argv, files, code", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+@pytest.mark.parametrize(
+    "argv, files, code",
+    [c[1:] for c in CASES + TOP_LEVEL_CASES],
+    ids=[c[0] for c in CASES + TOP_LEVEL_CASES],
+)
 def test_bad_input_gives_one_json_error_line(tmp_path, capsys, argv, files, code):
     paths = {"unit": tmp_path / "unit.json"}
     paths["unit"].write_text(UNIT)
@@ -149,3 +177,11 @@ def test_bad_input_gives_one_json_error_line(tmp_path, capsys, argv, files, code
     assert set(error) == {"code", "message"}
     assert error["code"] == {2: "invalid-input", 3: "domain-error", 4: "numeric-failure"}[code]
     assert caught == []  # a warning would print a second stderr line
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: monoconv") and err == ""

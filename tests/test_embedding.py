@@ -147,3 +147,35 @@ def test_order_zero_transform_is_a_domain_error():
     # K'(0) is not stored, so there is nothing to test
     with pytest.raises(DomainError):
         embedding_test(KTransform.from_coefficients([0.0]))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_iter": 0},
+        {"max_iter": -3},
+        {"conv_tol": 0.0},
+        {"conv_tol": -1.0},
+        {"conv_tol": float("nan")},
+        {"conv_tol": float("inf")},
+        {"branch_bound": -1},
+        {"positivity_tol": -1e-6},
+        {"positivity_tol": float("nan")},
+        {"positivity_tol": float("inf")},
+    ],
+)
+def test_limits_that_cannot_run_the_test_are_rejected(kwargs):
+    # before these checks, max_iter 0 or conv_tol 0 returned limit_diverges
+    # from an iteration that never ran or could never converge
+    k = KTransform(flow_coefficients(seeded_gen(5), 0.5, 32))
+    with pytest.raises(ValueError):
+        embedding_test(k, **kwargs)
+
+
+def test_derivative_series_is_built_once_per_transform():
+    k = KTransform(flow_coefficients(seeded_gen(6), 0.5, 16))
+    z = np.array([0.1, 0.3j])
+    first = k.derivative_eval(z)
+    assert k._derivative is k._derivative
+    assert np.array_equal(k.derivative_eval(z), first)
+    assert np.array_equal(first, k.series.derivative()(z))

@@ -130,6 +130,38 @@ def test_k_operator_gate():
         k_operator(2.0 * np.eye(2), [1.0, 0.0], 0.9)
 
 
+def test_k_operator_grid_matches_pointwise_calls():
+    rng = np.random.default_rng(19)
+    x = rand_matrix(rng, 4)
+    x = 0.9 * x / spectral_norm(x)
+    omega = rand_state(rng, 4)
+    zs = 0.8 * np.sqrt(rng.uniform(size=(3, 5))) * np.exp(2j * np.pi * rng.uniform(size=(3, 5)))
+    grid = k_operator(x, omega, zs)
+    assert grid.shape == zs.shape
+    pointwise = np.array([k_operator(x, omega, z) for z in zs.ravel()]).reshape(zs.shape)
+    assert np.all(np.abs(grid - pointwise) <= 1e-15 * (1.0 + np.abs(pointwise)))
+    assert type(k_operator(x, omega, 0.3)) is complex
+    assert type(k_operator(x, omega, np.complex128(0.3j))) is complex
+
+
+def test_k_operator_grid_rejects_one_point_outside_the_bound():
+    x = 0.5 * np.eye(2)
+    zs = np.array([0.1, 0.5j, 2.0, -0.3])
+    with pytest.raises(DomainError):
+        k_operator(x, [1.0, 0.0], zs)
+
+
+def test_k_operator_admits_a_unitary_near_the_circle():
+    rng = np.random.default_rng(20)
+    u = random_unitary(rng, 3)
+    omega = rand_state(rng, 3)
+    zs = 0.999 * np.exp(2j * np.pi * np.arange(16) / 16)
+    k = k_operator(u, omega, zs)
+    assert np.all(np.isfinite(k)) and np.all(np.abs(k) <= 1.0 + 1e-9)
+    with pytest.raises(DomainError):
+        k_operator(u, omega, 1.0 + 1e-9)
+
+
 # -- composition rule --------------------------------------------------------------
 
 

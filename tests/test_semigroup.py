@@ -16,7 +16,6 @@ from monoconv.semigroup import (
     flow_coefficients,
     generator_from_flow,
     semigroup_defect,
-    trajectory,
 )
 from monoconv.series import TruncatedSeries
 
@@ -331,15 +330,16 @@ def test_functional_equation_pointwise():
 
 def test_trajectory_snapshots():
     gen = BranchingGenerator.yule(1.0, 2)
-    grid = [0.2, 0.4j, -0.3]
-    traj = trajectory(gen, [0.0, 0.5, 1.0], grid, tol=1e-10)
-    assert traj.values[0] == tuple(complex(z) for z in grid)  # identity at t = 0
-    for i in range(3):
-        rep = validate_k(KTransform(flow_coefficients(gen, traj.times[i], 32)))
+    grid = np.array([0.2, 0.4j, -0.3])
+    times = [0.0, 0.5, 1.0]
+    values = evolve(gen, times, grid, tol=1e-10)
+    assert np.array_equal(values[0], grid)  # identity at t = 0, exactly
+    for t in times:
+        rep = validate_k(KTransform(flow_coefficients(gen, t, 32)))
         assert rep.all_ok
     # snapshots agree with the coefficient route where both apply
     f = flow_coefficients(gen, 0.5, 32)
-    for z, got in zip(traj.points, traj.values[1]):
+    for z, got in zip(grid, values[1]):
         assert abs(got - f(z)) < 1e-8
 
 
