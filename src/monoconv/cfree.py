@@ -192,9 +192,15 @@ class CFreeEvaluator:
 
 
 def _tail(functional, poly):
-    """sum_{k >= 1} poly[k] * functional(k), skipping zero coefficients."""
-    tail = 0
-    for k in range(1, len(poly)):
+    """sum_{k >= 1} poly[k] * functional(k), skipping zero coefficients.
+
+    Letters are monic of degree >= 1, so the sum starts from the top term
+    functional(top) instead of from 0: with Fraction moments that saves an
+    addition and a multiplication per call.
+    """
+    top = len(poly) - 1
+    tail = functional(top)
+    for k in range(1, top):
         if poly[k] != 0:
             tail = tail + poly[k] * functional(k)
     return tail

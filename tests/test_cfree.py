@@ -128,6 +128,17 @@ def test_monotone_specialization_rational_sweep():
     assert count == sum(2 * 3**L for L in range(1, 6))
 
 
+def test_monotone_specialization_in_floats():
+    # float moments take the same recursion and agree to rounding
+    rng = np.random.default_rng(5)
+    phi1 = MomentFunctional(list(rng.uniform(-1, 1, 16)))
+    phi2 = MomentFunctional(list(rng.uniform(-1, 1, 16)))
+    ev = CFreeEvaluator(phi1, MomentFunctional.delta(), phi2, phi2)
+    for word in canonical_words(5, 3):
+        expect = monotone_eval(word, phi1, phi2)
+        assert abs(ev.eval(word) - expect) <= 1e-12 * (1 + abs(expect))
+
+
 def test_free_specialization_swap_symmetry():
     rng = np.random.default_rng(4)
     phi1 = frac_moments(rng, 40)
