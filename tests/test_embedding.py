@@ -165,8 +165,8 @@ def test_order_zero_transform_is_a_domain_error():
     ],
 )
 def test_limits_that_cannot_run_the_test_are_rejected(kwargs):
-    # before these checks, max_iter 0 or conv_tol 0 returned limit_diverges
-    # from an iteration that never ran or could never converge
+    # with max_iter < 1 no iteration runs and with conv_tol <= 0 none can
+    # converge, so a limit_diverges verdict would come from no test at all
     k = KTransform(flow_coefficients(seeded_gen(5), 0.5, 32))
     with pytest.raises(ValueError):
         embedding_test(k, **kwargs)
