@@ -13,9 +13,12 @@ letterwise.  :class:`CFreeEvaluator` turns that rule into a recursion,
 
 splitting at the first letter that is not yet psi-centered; fully centered
 words hit the product base case.  Centered constant terms are constructed
-so the centering test is exact in both rational and floating arithmetic,
-results are memoized on the recursion states, and the word length is
-capped to keep the expansion bounded.
+so the centering test is exact in both rational and floating arithmetic.
+Each distinct letter, a polynomial in one generator, is interned once per
+evaluator as a small int, so its psi and phi values and its products with
+neighbors are derived once; recursion states are tuples of letter ids
+and results are memoized on them.  The word length is capped to keep the
+expansion bounded.
 
 Specializations: psi_i = phi_i gives the free product, psi_i = delta
 (vanishing on all generator powers) the boolean product, and
@@ -24,8 +27,10 @@ Specializations: psi_i = phi_i gives the free product, psi_i = delta
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import product as _iter_product
+from numbers import Rational
 
 from .errors import DomainError
 
@@ -87,12 +92,18 @@ class MomentFunctional:
     """Unital linear functional on one generator, given by moments m_1..m_N.
 
     Values may be ints, Fractions, floats or complex; m_0 = 1 implicitly.
+    A NaN or infinite moment raises ``ValueError``.  Exact rationals are
+    not converted to float for the test, so large Fractions are accepted.
     """
 
     __slots__ = ("moments",)
 
     def __init__(self, moments):
-        self.moments = tuple(moments)
+        moments = tuple(moments)
+        for m in moments:
+            if not isinstance(m, Rational) and not cmath.isfinite(m):
+                raise ValueError(f"moments must be finite, got {m!r}")
+        self.moments = moments
 
     @classmethod
     def delta(cls) -> "MomentFunctional":
@@ -142,15 +153,24 @@ class CFreeEvaluator:
     """Evaluator for the two-state product functional with a shared memo.
 
     Reuse one instance to evaluate many words against the same four
-    functionals; subwords repeat heavily across a sweep and the memo is
-    keyed on them.  Words arrive canonical (see :class:`Word`), so a word
-    is only translated into the recursion's letter-polynomial state.
+    functionals; letters and subwords repeat heavily across a sweep.  Each
+    distinct letter (algebra, polynomial) is interned once as a small int,
+    and its psi value, centered letter and phi value are derived from the
+    functionals on first use only.  A recursion state is a tuple of letter
+    ids, and the memo and the merges of neighboring letters are keyed on
+    ids.  Words arrive canonical (see :class:`Word`), so the letters of a
+    state always alternate between the two algebras.
     """
 
     def __init__(self, phi1, psi1, phi2, psi2, max_word_len: int = _MAX_WORD_LEN):
         self._phi = {1: phi1, 2: phi2}
         self._psi = {1: psi1, 2: psi2}
         self.max_word_len = max_word_len
+        self._ids = {}  # (algebra, polynomial) -> letter id
+        self._letters = []  # id -> (algebra, polynomial)
+        self._splits = []  # id -> None until derived, then False or (psi value, centered id)
+        self._phi_values = []  # id -> None until derived, then phi of the letter
+        self._merged = {}  # (id, id) -> id of the product letter
         self._memo = {}
 
     def eval(self, word: Word):
@@ -158,37 +178,88 @@ class CFreeEvaluator:
             raise DomainError(
                 f"word length {len(word)} exceeds the expansion cap {self.max_word_len}"
             )
-        state = tuple((alg, (0,) * p + (1,)) for alg, p in word.letters)
+        if len(word) == 1:
+            # phi(x^p) = 0 + phi(p), as in _phi_value; a lone letter is not
+            # interned, so a sweep of many powers keeps no polynomial alive
+            alg, p = word.letters[0]
+            return 0 + self._phi[alg](p)
+        state = tuple([self._intern(alg, (0,) * p + (1,)) for alg, p in word.letters])
         return self._value(state)
 
     # letters are polynomials in the generator; index = power, monic by
     # construction, so merged letters never collapse to scalars
+    def _intern(self, alg, poly):
+        key = (alg, poly)
+        letter = self._ids.get(key)
+        if letter is None:
+            letter = self._ids[key] = len(self._letters)
+            self._letters.append(key)
+            self._splits.append(None)
+            self._phi_values.append(None)
+        return letter
+
+    def _split(self, letter):
+        """Derive (psi(letter), id of letter - psi(letter)), or False when psi(letter) = 0.
+
+        The centered letter's constant term is literally -tail, so its own psi
+        value is -tail + tail, exactly 0 in rational and floating arithmetic.
+        """
+        alg, poly = self._letters[letter]
+        tail = _tail(self._psi[alg], poly)
+        scalar = poly[0] + tail
+        split = (scalar, self._intern(alg, (-tail,) + poly[1:])) if scalar != 0 else False
+        self._splits[letter] = split
+        return split
+
+    def _phi_value(self, letter):
+        val = self._phi_values[letter]
+        if val is None:
+            alg, poly = self._letters[letter]
+            val = self._phi_values[letter] = poly[0] + _tail(self._phi[alg], poly)
+        return val
+
     def _value(self, state):
         if not state:
             return 1
         if len(state) == 1:
-            alg, poly = state[0]
-            return poly[0] + _tail(self._phi[alg], poly)
+            return self._phi_value(state[0])
         hit = self._memo.get(state)
         if hit is not None:
             return hit
-        for i, (alg, poly) in enumerate(state):
-            tail = _tail(self._psi[alg], poly)
-            scalar = poly[0] + tail
-            if scalar != 0:
-                # poly = scalar*1 + centered, psi(centered) = 0 exactly because
-                # its constant term is literally -tail
-                centered = (-tail,) + poly[1:]
-                keep = state[:i] + ((alg, centered),) + state[i + 1 :]
-                drop = _merge(state[:i], state[i + 1 :])
+        splits = self._splits
+        for i, letter in enumerate(state):
+            split = splits[letter]
+            if split is None:
+                split = self._split(letter)
+            if split:
+                # letter = scalar*1 + centered, and psi(centered) = 0
+                scalar, centered = split
+                keep = state[:i] + (centered,) + state[i + 1 :]
+                drop = self._merge(state[:i], state[i + 1 :])
                 val = scalar * self._value(drop) + self._value(keep)
                 break
         else:
             val = 1
-            for alg, poly in state:
-                val = val * (poly[0] + _tail(self._phi[alg], poly))
+            for letter in state:
+                val = val * self._phi_value(letter)
         self._memo[state] = val
         return val
+
+    def _merge(self, left, right):
+        """left + right with the two letters meeting at the seam multiplied.
+
+        The seam letters sit on either side of a dropped letter of an
+        alternating state, so they come from the same algebra.
+        """
+        if not (left and right):
+            return left + right
+        pair = (left[-1], right[0])
+        joined = self._merged.get(pair)
+        if joined is None:
+            alg, a = self._letters[left[-1]]
+            b = self._letters[right[0]][1]
+            joined = self._merged[pair] = self._intern(alg, _poly_mul(a, b))
+        return left[:-1] + (joined,) + right[1:]
 
 
 def _tail(functional, poly):
@@ -204,14 +275,6 @@ def _tail(functional, poly):
         if poly[k] != 0:
             tail = tail + poly[k] * functional(k)
     return tail
-
-
-def _merge(left, right):
-    if left and right and left[-1][0] == right[0][0]:
-        alg = left[-1][0]
-        joined = (alg, _poly_mul(left[-1][1], right[0][1]))
-        return left[:-1] + (joined,) + right[1:]
-    return left + right
 
 
 def _poly_mul(a, b):
@@ -243,10 +306,10 @@ def monotone_specialization_defect(phi1, phi2, max_len: int = 8, max_power: int 
     """Sweep the identity cfree(phi1, delta; phi2, phi2) = monotone(phi1, phi2).
 
     Returns (max absolute defect, words checked).  With rational moments
-    the defect is exactly zero.  Both bounds must be >= 1.
+    the defect is exactly zero.  Both bounds must be >= 1, and max_len at
+    most the expansion cap.
     """
-    if max_len < 1 or max_power < 1:
-        raise ValueError("word length and power bounds must be >= 1")
+    _check_sweep_bounds(max_len, max_power)
     evaluator = CFreeEvaluator(phi1, MomentFunctional.delta(), phi2, phi2)
     worst = 0
     count = 0
@@ -258,3 +321,11 @@ def monotone_specialization_defect(phi1, phi2, max_len: int = 8, max_power: int 
             worst = d
         count += 1
     return worst, count
+
+
+def _check_sweep_bounds(max_len, max_power):
+    """Reject sweep bounds before any moment is drawn or any word evaluated."""
+    if max_len < 1 or max_power < 1:
+        raise ValueError("word length and power bounds must be >= 1")
+    if max_len > _MAX_WORD_LEN:
+        raise DomainError(f"word length {max_len} exceeds the expansion cap {_MAX_WORD_LEN}")

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import branching, convolution, embedding, opmodel, semigroup
-from .cfree import MomentFunctional, monotone_specialization_defect
+from .cfree import MomentFunctional, _check_sweep_bounds, monotone_specialization_defect
 from .errors import DomainError, StepSizeUnderflowError, SupercriticalOverflowError
 from .generator import HerglotzGenerator
 from .measure import CircleMeasure, KTransform, k_transform
@@ -245,6 +245,7 @@ def _cmd_counterexample(args):
 
 
 def _cmd_cfree_check(args):
+    _check_sweep_bounds(args.max_len, args.max_power)
     rng = np.random.default_rng(args.seed)
     n_mom = args.max_len * args.max_power
     phi1 = MomentFunctional([Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))) for _ in range(n_mom)])

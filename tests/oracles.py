@@ -5,12 +5,16 @@
 time with one full composition per coefficient.  Neither shares code with
 the power table of :mod:`monoconv.series`.  ``merge_and_drop`` is the
 canonical form of a cfree word, computed apart from ``Word``.
+``NestedTupleCFree`` is the two-state recursion on states that carry
+every letter's polynomial, re-deriving psi tails, phi values and merges
+at each state; the interned evaluator must agree with it exactly.
 """
 
 from itertools import groupby
 
 import numpy as np
 
+from monoconv.cfree import _poly_mul, _tail
 from monoconv.series import TruncatedSeries
 
 
@@ -41,3 +45,51 @@ def merge_and_drop(letters):
     """Drop power-0 letters, then sum the powers of each run of one algebra."""
     kept = [(alg, power) for alg, power in letters if power != 0]
     return tuple((alg, sum(p for _, p in run)) for alg, run in groupby(kept, key=lambda letter: letter[0]))
+
+
+class NestedTupleCFree:
+    """Two-state product functional on states of (algebra, polynomial) letters."""
+
+    def __init__(self, phi1, psi1, phi2, psi2):
+        self._phi = {1: phi1, 2: phi2}
+        self._psi = {1: psi1, 2: psi2}
+        self._memo = {}
+
+    def eval(self, word):
+        state = tuple((alg, (0,) * p + (1,)) for alg, p in word.letters)
+        return self._value(state)
+
+    def _value(self, state):
+        if not state:
+            return 1
+        if len(state) == 1:
+            alg, poly = state[0]
+            return poly[0] + _tail(self._phi[alg], poly)
+        hit = self._memo.get(state)
+        if hit is not None:
+            return hit
+        for i, (alg, poly) in enumerate(state):
+            tail = _tail(self._psi[alg], poly)
+            scalar = poly[0] + tail
+            if scalar != 0:
+                # poly = scalar*1 + centered, psi(centered) = 0 exactly because
+                # its constant term is literally -tail
+                centered = (-tail,) + poly[1:]
+                keep = state[:i] + ((alg, centered),) + state[i + 1 :]
+                drop = _merge(state[:i], state[i + 1 :])
+                val = scalar * self._value(drop) + self._value(keep)
+                break
+        else:
+            val = 1
+            for alg, poly in state:
+                val = val * (poly[0] + _tail(self._phi[alg], poly))
+        self._memo[state] = val
+        return val
+
+
+def _merge(left, right):
+    if left and right and left[-1][0] == right[0][0]:
+        alg = left[-1][0]
+        joined = (alg, _poly_mul(left[-1][1], right[0][1]))
+        return left[:-1] + (joined,) + right[1:]
+    return left + right

@@ -1,12 +1,13 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, inf, nan
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import merge_and_drop
+from oracles import NestedTupleCFree, merge_and_drop
 
 from monoconv.cfree import (
     CFreeEvaluator,
@@ -20,7 +21,7 @@ from monoconv.cfree import (
 from monoconv.convolution import monotone_convolve
 from monoconv.errors import DomainError
 from monoconv.measure import CircleMeasure
-from monoconv.opmodel import diagonal_unitary_model, monotone_product, operator_moments
+from monoconv.opmodel import MatrixModel, diagonal_unitary_model, monotone_product, operator_moments
 
 
 def frac_moments(rng, n):
@@ -162,15 +163,120 @@ def test_word_length_cap():
         cfree_eval(long_word, phi, phi, phi, phi)
 
 
+def test_single_letter_words_keep_no_polynomials():
+    # interning x^p would keep a (p + 1)-tuple alive: 16 MB over these powers
+    phi = MomentFunctional([Fraction(1, k) for k in range(1, 2001)])
+    evaluator = CFreeEvaluator(phi, phi, phi, phi)
+    tracemalloc.start()
+    try:
+        values = [evaluator.eval(Word(((2, p),))) for p in range(1, 2001)]
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values == [Fraction(1, p) for p in range(1, 2001)]
+    assert kept < 1_000_000
+
+
+class RecordingFunctional(MomentFunctional):
+    """A moment functional that records every order it is asked for."""
+
+    def __init__(self, moments):
+        super().__init__(moments)
+        self.asked = []
+
+    def __call__(self, k):
+        self.asked.append(k)
+        return super().__call__(k)
+
+
+def test_sweep_rejects_length_above_cap_before_evaluating():
+    phi = RecordingFunctional([1] * 40)
+    with pytest.raises(DomainError, match="word length 17 exceeds the expansion cap 16"):
+        monotone_specialization_defect(phi, phi, max_len=17, max_power=1)
+    assert phi.asked == []
+
+
+@pytest.mark.parametrize(
+    "moments",
+    [[nan, 1.0, 1.0], [inf, 1.0, 1.0], [1.0, -inf], [complex(inf, 0.0)], [0.5, complex(0.0, nan)], [np.float64(nan)]],
+)
+def test_non_finite_moments_rejected(moments):
+    with pytest.raises(ValueError, match="finite"):
+        MomentFunctional(moments)
+
+
+def test_large_rational_moments_accepted():
+    # exact moments are never converted to float, which would overflow
+    huge = Fraction(10**400, 3)
+    phi = MomentFunctional([huge, 10**400])
+    assert phi(1) == huge and phi(2) == 10**400
+
+
+# -- interned evaluator against the nested-tuple recursion ------------------------
+
+
+@st.composite
+def canonical_word(draw, max_len=8, max_power=4):
+    start = draw(st.sampled_from((1, 2)))
+    powers = draw(st.lists(st.integers(1, max_power), min_size=1, max_size=max_len))
+    return Word(tuple((start if i % 2 == 0 else 3 - start, p) for i, p in enumerate(powers)))
+
+
+_unit_floats = st.floats(-1.0, 1.0)
+_moments_of_kind = {
+    "fraction": st.fractions(-3, 3, max_denominator=6),
+    "float": _unit_floats,
+    "complex": st.builds(complex, _unit_floats, _unit_floats),
+}
+
+
+@st.composite
+def cfree_functionals(draw):
+    """phi1, psi1, phi2, psi2 with moments of one kind; a psi is sometimes delta."""
+    moments = _moments_of_kind[draw(st.sampled_from(sorted(_moments_of_kind)))]
+
+    def functional():
+        # an alternating word of length 8 and power 4 needs orders up to 16
+        return MomentFunctional(draw(st.lists(moments, min_size=16, max_size=16)))
+
+    def psi():
+        return MomentFunctional.delta() if draw(st.booleans()) else functional()
+
+    return functional(), psi(), functional(), psi()
+
+
+@settings(max_examples=60, deadline=None)
+@given(functionals=cfree_functionals(), words=st.lists(canonical_word(), min_size=1, max_size=6))
+def test_interned_evaluator_matches_nested_tuple_oracle(functionals, words):
+    evaluator = CFreeEvaluator(*functionals)  # one memo across the batch
+    oracle = NestedTupleCFree(*functionals)
+    for word in words:
+        got = evaluator.eval(word)
+        expect = oracle.eval(word)
+        assert got == expect
+        assert type(got) is type(expect)
+
+
 # -- bridge to measures and operators ----------------------------------------------
 
 
-def test_word_expansion_reproduces_convolution_moments():
-    # Phi((U V)^k) expanded through U = 1 + u, evaluated monotonically,
-    # must match both the operator model and the convolution moments.
-    rng = np.random.default_rng(8)
-    angles1, w1 = rng.uniform(0, 2 * np.pi, 3), rng.dirichlet(np.ones(3))
-    angles2, w2 = rng.uniform(0, 2 * np.pi, 2), rng.dirichlet(np.ones(2))
+def _normalized(atoms):
+    angles, weights = (np.array(column) for column in zip(*atoms))
+    return angles, weights / weights.sum()
+
+
+atomic_measures = st.lists(
+    st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.05, 1.0)), min_size=2, max_size=4
+).map(_normalized)
+
+
+@settings(max_examples=25, deadline=None)
+@given(first=atomic_measures, second=atomic_measures)
+def test_word_expansion_reproduces_convolution_moments(first, second):
+    # Phi((U V)^k) expanded through U = 1 + u, evaluated monotonically and by
+    # the two-state recursion, must match the operator model and the
+    # convolution moments.
+    (angles1, w1), (angles2, w2) = first, second
     mu = CircleMeasure.from_atoms(angles1, w1)
     nu = CircleMeasure.from_atoms(angles2, w2)
     kmax = 6
@@ -182,13 +288,12 @@ def test_word_expansion_reproduces_convolution_moments():
     ]
     phi1 = MomentFunctional(u_moments)
     phi2 = MomentFunctional(list(nu.moments(kmax)))
+    evaluator = CFreeEvaluator(phi1, MomentFunctional.delta(), phi2, phi2)
 
     conv = monotone_convolve(mu, nu, kmax).moments(kmax)
 
     # independent operator-model values
     m1 = diagonal_unitary_model(angles1, w1, "U")
-    from monoconv.opmodel import MatrixModel
-
     m1 = MatrixModel(m1.dim, m1.state, {**m1.operators, "One": np.eye(m1.dim)})
     m2 = diagonal_unitary_model(angles2, w2, "V")
     prod = monotone_product(m1, m2)
@@ -196,7 +301,7 @@ def test_word_expansion_reproduces_convolution_moments():
     op_moms = operator_moments(u_bar @ prod.operators["V"], prod.state, kmax)
 
     for k in range(1, kmax + 1):
-        total = 0j
+        total = total_cfree = 0j
         for r in range(k + 1):  # choose which of the k U-slots contribute u
             for positions in combinations(range(k), r):
                 letters = []
@@ -204,6 +309,9 @@ def test_word_expansion_reproduces_convolution_moments():
                     if slot in positions:
                         letters.append((1, 1))
                     letters.append((2, 1))
-                total += monotone_eval(Word(tuple(letters)), phi1, phi2)
+                word = Word(tuple(letters))
+                total += monotone_eval(word, phi1, phi2)
+                total_cfree += evaluator.eval(word)
         assert abs(total - conv[k - 1]) < 1e-10
         assert abs(total - op_moms[k - 1]) < 1e-10
+        assert abs(total_cfree - conv[k - 1]) < 1e-10

@@ -120,6 +120,19 @@ def test_evolve_grid_is_byte_identical(tmp_path, capsys):
     assert len(out1.strip().splitlines()) == 1 + 3 * 16
 
 
+def test_evolve_point_with_negative_real_part(tmp_path, capsys):
+    # argparse reads "-0.3+0.2j" after a space as an option; the "=" form passes it
+    gen = write(tmp_path, "gen.json", {"b": 0.2, "rho": [{"angle": 1.0, "weight": 0.6}]})
+    grid = write(tmp_path, "grid.json", [[-0.3, 0.2]])
+    code, out, _ = run(capsys, ["evolve", gen, "--t", "0.5", "--z=-0.3+0.2j"])
+    code_grid, out_grid, _ = run(capsys, ["evolve", gen, "--t", "0.5", "--grid", grid])
+    assert code == code_grid == 0
+    assert out == out_grid and len(out.strip().splitlines()) == 2
+    code, out, err = run(capsys, ["evolve", gen, "--t", "0.5", "--z", "-0.3+0.2j"])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and json.loads(err)["error"]["code"] == "invalid-input"
+
+
 def test_evolve_negative_time_exit_code(tmp_path, capsys):
     gen = write(tmp_path, "gen.json", {"rates": {"2": 1.0}})
     code, out, err = run(capsys, ["evolve", gen, "--t", "-0.5", "--z", "0.4"])

@@ -127,6 +127,8 @@ CASES = [
     ("cfree-check-len-negative", ["cfree-check", "--max-len", "-2"], {}, 2),
     ("cfree-check-power-0", ["cfree-check", "--max-len", "2", "--max-power", "0"], {}, 2),
     ("cfree-check-negative-seed", ["cfree-check", "--max-len", "2", "--seed", "-1"], {}, 2),
+    ("cfree-check-len-above-cap", ["cfree-check", "--max-len", "17", "--max-power", "2"], {}, 3),
+    ("cfree-check-len-huge", ["cfree-check", "--max-len", "1000000"], {}, 3),
     ("verify-ops-cases-0", ["verify-ops", "--cases", "0"], {}, 2),
     ("verify-ops-cases-negative", ["verify-ops", "--cases", "-1"], {}, 2),
     ("verify-ops-negative-seed", ["verify-ops", "--cases", "1", "--seed", "-1"], {}, 2),
