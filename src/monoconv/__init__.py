@@ -62,7 +62,6 @@ from .semigroup import (
     evolve_pointwise,
     first_moment_law,
     flow_coefficients,
-    generator_from_flow,
     semigroup_defect,
 )
 from .series import DEFAULT_ORDER, TruncatedSeries
@@ -100,7 +99,6 @@ __all__ = [
     "evolve_pointwise",
     "first_moment_law",
     "flow_coefficients",
-    "generator_from_flow",
     "k_composition_defect",
     "k_operator",
     "k_transform",

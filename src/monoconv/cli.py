@@ -217,10 +217,7 @@ def _cmd_evolve(args):
 
 def _cmd_embed(args):
     k = _k_from_obj(_load_json(args.k), args.k, args.order)
-    verdict = embedding.embedding_test(
-        k, max_iter=args.max_iter, conv_tol=args.conv_tol
-    )
-    _emit_json(dataclasses.asdict(verdict), args.out)
+    _emit_json(dataclasses.asdict(embedding.embedding_test(k)), args.out)
     return 0
 
 
@@ -302,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("embed", help="embeddability verdict for a K-transform")
     m.add_argument("k", help="JSON with 'series' or a measure object")
-    m.add_argument("--max-iter", type=int, default=500)
-    m.add_argument("--conv-tol", type=float, default=1e-9)
     m.add_argument("--order", type=int, default=DEFAULT_ORDER)
     m.add_argument("--out")
     m.set_defaults(func=_cmd_embed)

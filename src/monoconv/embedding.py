@@ -1,16 +1,16 @@
 """Decide whether a K-transform embeds into a continuous composition flow.
 
-The test iterates the map on a grid of disk points.  If the measure is
-embeddable, the normalized ratios
+A flow member K = K_t0 with generator u has the multiplier lambda = K'(0)
+= e^{-t0 u(0)}, 0 < |lambda| < 1.  Its Koenigs function h, the solution of
+h(K(z)) = lambda h(z) with h'(0) = 1 (G. Koenigs, Ann. Sci. ENS 1, 1884),
+linearizes the whole flow (E. Berkson & H. Porta, Michigan Math. J. 25,
+1978), so u(z)/u(0) = h(z)/(z h'(z)) exactly.  h comes from one
+triangular solve on the power table of K,
 
-    r_n(z) = -K^n(z) / (K^n)'(z)
+    h_m = sum_{k<m} h_k [K^k]_m / (lambda - lambda^m),
 
-converge locally uniformly to -z u(z)/u(0), where u generates the flow.
-Convergence is operationalized as a Cauchy criterion on the finite grid
-(the limit statement carries no rate), the derivative of the iterate is
-accumulated as a running product of K' along the orbit for stability, and
-the removable singularity of -r(z)/z at 0 is resolved by Richardson
-extrapolation over the innermost grid rings.
+and u/u(0) = h(K(z)) / (z K'(z) h'(K(z))) is read one step along the
+equation, where the truncated h is evaluated nearer the origin.
 
 The surviving data is the product t0*u(0) = -log K'(0) (up to a 2*pi*i*k
 branch) together with the direction of u(0); the scale split between t0
@@ -28,6 +28,7 @@ from ._util import TWO_PI, canonical_angle, ring_grid
 from .errors import DomainError
 from .generator import HerglotzGenerator
 from .measure import KTransform
+from .series import TruncatedSeries, _fill_power_columns
 
 __all__ = ["EmbeddingVerdict", "embedding_test", "dirac_embedding", "DiracEmbedding", "default_grid"]
 
@@ -36,9 +37,8 @@ _ROTATION_TOL = 1e-12
 
 _RING_RADII = (0.2, 0.4, 0.6)
 _RING_ANGLES = 8
-# Richardson weight of the two innermost rings: an angle average over
-# _RING_ANGLES points at radius r is u(0) + O(r^_RING_ANGLES).
-_RICHARDSON_SCALE = (_RING_RADII[1] / _RING_RADII[0]) ** _RING_ANGLES
+# nodes of the argument-principle count of the zeros of K' inside the outer ring
+_CRITICAL_NODES = 256
 
 
 def default_grid() -> np.ndarray:
@@ -53,10 +53,20 @@ class EmbeddingVerdict:
     ``u_estimate`` samples the normalized generator (value 1 at the
     origin) on ``grid``; ``product`` is t0 * u(0) for the selected log
     branch, with t0 = |product| and ``beta`` the unit-modulus direction.
+    ``iterations`` is the number of times K was applied to the grid: 1
+    once h is solved for, 0 on the earlier exits.
+
+    ``reason`` is ``ok``, ``dirac_special_case`` (K is a rotation, the
+    transform of a point mass), ``derivative_vanishes`` (K' = 0 at the
+    origin, at a grid point, or inside the outer ring, where a critical
+    point makes K non-univalent), ``limit_diverges`` (|K'(0)| >= 1 and K
+    is not a rotation, so by the Schwarz lemma K is not a self-map of the
+    disk) or ``positivity_fails`` (no branch has Re(beta u/u(0)) >=
+    -positivity_tol on the grid).
     """
 
     embeddable: bool
-    reason: str  # ok | derivative_vanishes | limit_diverges | positivity_fails | dirac_special_case
+    reason: str
     grid: tuple = ()
     u_estimate: tuple | None = None
     t0: float | None = None
@@ -69,9 +79,7 @@ class EmbeddingVerdict:
 
 def embedding_test(
     k: KTransform,
-    max_iter: int = 500,
     grid=None,
-    conv_tol: float = 1e-9,
     branch_bound: int = 8,
     positivity_tol: float = 1e-6,
 ) -> EmbeddingVerdict:
@@ -80,16 +88,10 @@ def embedding_test(
     Point masses are recognized and dispatched to the special verdict (see
     :func:`dirac_embedding` for the full countable family).  Grid points
     supplied by the caller are added to the built-in rings for the
-    derivative, convergence and positivity checks; the normalization at 0
-    always uses the built-in rings.  ``k`` must have order >= 1, and the
-    limits must let the test run: ``max_iter >= 1``, ``conv_tol`` finite
-    and > 0, ``branch_bound >= 0`` and ``positivity_tol`` finite and >= 0
-    (a ``ValueError`` otherwise).
+    derivative and positivity checks.  ``k`` must have order >= 1, and the
+    limits must let the test run: ``branch_bound >= 0`` and
+    ``positivity_tol`` finite and >= 0 (a ``ValueError`` otherwise).
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if not 0.0 < conv_tol < np.inf:
-        raise ValueError("conv_tol must be finite and > 0")
     if branch_bound < 0:
         raise ValueError("branch_bound must be >= 0")
     if not 0.0 <= positivity_tol < np.inf:
@@ -103,6 +105,8 @@ def embedding_test(
     c1 = k.derivative_at_zero
     if abs(c1) <= _DERIV_TOL:
         return EmbeddingVerdict(embeddable=False, reason="derivative_vanishes")
+    if abs(c1) >= 1.0:
+        return EmbeddingVerdict(embeddable=False, reason="limit_diverges")
 
     base = default_grid()
     if grid is None:
@@ -111,76 +115,73 @@ def embedding_test(
         extra = np.asarray(grid, dtype=complex).ravel()
         if np.any(np.abs(extra) >= 1.0):
             raise DomainError("grid points must lie inside the open unit disk")
-        extra = extra[np.abs(extra) > 1e-8]  # 0 is the removable singularity of r(z)/z
+        extra = extra[np.abs(extra) > 1e-8]  # 0 is the removable singularity of h/(z h')
         pts = np.concatenate([base, extra])
 
-    if np.min(np.abs(k.derivative_eval(pts))) <= _DERIV_TOL:
+    dk = k.derivative_eval(pts)
+    if np.min(np.abs(dk)) <= _DERIV_TOL:
         return EmbeddingVerdict(embeddable=False, reason="derivative_vanishes")
 
-    # iterate: w_n = K^n(z), prod_n = (K^n)'(z) as a running product
-    w = pts.astype(complex)
-    prod = np.ones_like(w)
-    r_prev = -pts.astype(complex)
-    converged = False
-    n = 0
+    w = k.eval(pts)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for n in range(1, max_iter + 1):
-            dk = k.derivative_eval(w)
-            if np.min(np.abs(dk)) <= _DERIV_TOL:
-                return EmbeddingVerdict(
-                    embeddable=False, reason="derivative_vanishes", iterations=n
-                )
-            prod = prod * dk
-            w = k.eval(w)
-            r = -w / prod
-            delta = float(np.max(np.abs(r - r_prev)))
-            r_prev = r
-            if delta < conv_tol:
-                converged = True
-                break
-    if not converged:
-        return EmbeddingVerdict(embeddable=False, reason="limit_diverges", iterations=n)
+        h = _koenigs_series(k)
+        u_norm = h(w) / (pts * dk * h.derivative()(w))
 
-    u_raw = -r_prev / pts
-    # Richardson over the two innermost rings cancels their leading r^_RING_ANGLES term.
-    g1 = np.mean(u_raw[:_RING_ANGLES])
-    g2 = np.mean(u_raw[_RING_ANGLES : 2 * _RING_ANGLES])
-    origin = (_RICHARDSON_SCALE * g1 - g2) / (_RICHARDSON_SCALE - 1.0)
-    u_norm = u_raw / origin
-
-    principal = -np.log(c1)
+    principal = -np.log(c1)  # |c1| < 1, so every branch of the product is nonzero
     passing = []
     for branch in _branch_order(branch_bound):
         product = principal - TWO_PI * 1j * branch
-        t0 = abs(product)
-        if t0 == 0.0:
-            continue  # K'(0) = 1 exactly: only the identity, handled as a rotation
-        beta = product / t0
-        if float(np.min(np.real(beta * u_norm))) >= -positivity_tol:
+        if float(np.min(np.real(product / abs(product) * u_norm))) >= -positivity_tol:
             passing.append(branch)
-    if passing:
-        branch = passing[0]
-        product = principal - TWO_PI * 1j * branch
-        t0 = abs(product)
+    if not passing or _has_critical_point(k):
         return EmbeddingVerdict(
-            embeddable=True,
-            reason="ok",
+            embeddable=False,
+            reason="derivative_vanishes" if passing else "positivity_fails",
             grid=tuple(pts),
             u_estimate=tuple(u_norm),
-            t0=t0,
-            beta=complex(product / t0),
-            branch_index=branch,
-            branches_found=tuple(passing),
-            product=complex(product),
-            iterations=n,
+            iterations=1,
         )
+    product = principal - TWO_PI * 1j * passing[0]
+    t0 = abs(product)
     return EmbeddingVerdict(
-        embeddable=False,
-        reason="positivity_fails",
+        embeddable=True,
+        reason="ok",
         grid=tuple(pts),
         u_estimate=tuple(u_norm),
-        iterations=n,
+        t0=t0,
+        beta=complex(product / t0),
+        branch_index=passing[0],
+        branches_found=tuple(passing),
+        product=complex(product),
+        iterations=1,
     )
+
+
+def _koenigs_series(k: KTransform) -> TruncatedSeries:
+    """The Koenigs function of ``k`` through its order, for 0 < |K'(0)| < 1."""
+    c = k.series.coeffs
+    n = k.order
+    lam = c[1]
+    table = np.zeros((n + 1, n + 1), dtype=np.complex128)  # table[k, m] = [K^k]_m
+    table[1] = c
+    _fill_power_columns(table, 2, n + 1)
+    h = np.zeros(n + 1, dtype=np.complex128)
+    h[1] = 1.0
+    for m in range(2, n + 1):
+        h[m] = np.dot(h[1:m], table[1:m, m]) / (lam - lam**m)
+    return TruncatedSeries(h)
+
+
+def _has_critical_point(k: KTransform) -> bool:
+    """Whether K' has a zero inside the outer grid ring (or on it).
+
+    By the argument principle the winding number of K' around that circle
+    counts its zeros inside; a zero on the circle makes it NaN.
+    """
+    d = k.derivative_eval(ring_grid(_RING_RADII[-1:], _CRITICAL_NODES))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        winding = np.sum(np.angle(np.roll(d, -1) / d)) / TWO_PI
+    return not abs(winding) < 0.5
 
 
 def _branch_order(bound: int):

@@ -37,7 +37,6 @@ __all__ = [
     "evolve_pointwise",
     "flow_coefficients",
     "semigroup_defect",
-    "generator_from_flow",
     "first_moment_law",
 ]
 
@@ -206,24 +205,6 @@ def semigroup_defect(gen, s: float, t: float, grid, tol: float = 1e-10) -> float
     lhs = evolve(gen, [s + t], zs, tol)[0]
     rhs = evolve(gen, [s], evolve(gen, [t], zs, tol)[0], tol)[0]
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
-
-
-def generator_from_flow(flow, z: complex, h: float = 1e-4) -> complex:
-    """Estimate u(z) = -(1/z) d/dt K_t(z) at t = 0 from a flow callable.
-
-    Uses the one-sided second-order stencil over t in {0, h, 2h} (flows are
-    only defined for t >= 0), so the error is O(h^2) plus whatever error
-    the flow itself carries.
-    """
-    if z == 0:
-        raise DomainError("the generator formula divides by z; pick z != 0")
-    if h <= 0:
-        raise ValueError("step must be positive")
-    k0 = flow(0.0, z)
-    k1 = flow(h, z)
-    k2 = flow(2.0 * h, z)
-    dkdt = (-3.0 * k0 + 4.0 * k1 - k2) / (2.0 * h)
-    return -dkdt / z
 
 
 def first_moment_law(gen, t: float, radius: float = 0.5, nodes: int = 64, tol: float = 1e-12):

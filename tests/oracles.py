@@ -8,6 +8,9 @@ canonical form of a cfree word, computed apart from ``Word``.
 ``NestedTupleCFree`` is the two-state recursion on states that carry
 every letter's polynomial, re-deriving psi tails, phi values and merges
 at each state; the interned evaluator must agree with it exactly.
+``iterated_generator`` reaches u/u(0) without the Koenigs function: it
+iterates -K^n/(K^n)' to a Cauchy tolerance and takes u(0) by Richardson
+extrapolation over the two inner grid rings.
 """
 
 from itertools import groupby
@@ -15,6 +18,7 @@ from itertools import groupby
 import numpy as np
 
 from monoconv.cfree import _poly_mul, _tail
+from monoconv.embedding import default_grid
 from monoconv.series import TruncatedSeries
 
 
@@ -93,3 +97,42 @@ def _merge(left, right):
         joined = (alg, _poly_mul(left[-1][1], right[0][1]))
         return left[:-1] + (joined,) + right[1:]
     return left + right
+
+
+_RING_ANGLES = 8
+# an angle average over 8 points at radius r is u(0) + O(r^8); the two
+# innermost rings of the default grid have radii 0.2 and 0.4
+_RICHARDSON_SCALE = (0.4 / 0.2) ** _RING_ANGLES
+
+
+def iterated_generator(k, max_iter: int = 500, conv_tol: float = 1e-9):
+    """u/u(0) on the default grid, or None.
+
+    The ratios r_n(z) = -K^n(z) / (K^n)'(z) of an embeddable K converge to
+    -z u(z)/u(0); (K^n)' is a running product of K' along the orbit.  None
+    means K' vanished on the orbit or the Cauchy test did not pass within
+    ``max_iter`` steps.
+    """
+    pts = default_grid()
+    w = pts.astype(complex)
+    prod = np.ones_like(w)
+    r_prev = -pts.astype(complex)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(max_iter):
+            dk = k.derivative_eval(w)
+            if np.min(np.abs(dk)) <= 1e-9:
+                return None
+            prod = prod * dk
+            w = k.eval(w)
+            r = -w / prod
+            delta = float(np.max(np.abs(r - r_prev)))
+            r_prev = r
+            if delta < conv_tol:
+                break
+        else:
+            return None
+    u_raw = -r_prev / pts
+    g1 = np.mean(u_raw[:_RING_ANGLES])
+    g2 = np.mean(u_raw[_RING_ANGLES : 2 * _RING_ANGLES])
+    origin = (_RICHARDSON_SCALE * g1 - g2) / (_RICHARDSON_SCALE - 1.0)
+    return u_raw / origin

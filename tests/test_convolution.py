@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoconv.convolution import affine_mixture_convolve, monotone_convolve
 from monoconv.measure import CircleMeasure, k_transform, validate_k
@@ -45,6 +47,32 @@ def test_associativity_random_triples():
         left = monotone_convolve(monotone_convolve(lam, mu, 16), nu, 16).moments(16)
         right = monotone_convolve(lam, monotone_convolve(mu, nu, 16), 16).moments(16)
         assert np.max(np.abs(left - right)) < 1e-12
+
+
+def _normalized(atoms):
+    angles, weights = (np.array(column) for column in zip(*atoms))
+    return CircleMeasure.from_atoms(angles, weights / weights.sum())
+
+
+atomic_measures = st.lists(
+    st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.05, 1.0)), min_size=2, max_size=4
+).map(_normalized)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=atomic_measures, mu=atomic_measures, nu=atomic_measures)
+def test_associativity_property(lam, mu, nu):
+    n = 32
+    left = monotone_convolve(monotone_convolve(lam, mu, n), nu, n).moments(n)
+    right = monotone_convolve(lam, monotone_convolve(mu, nu, n), n).moments(n)
+    assert np.max(np.abs(left - right)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=atomic_measures, nu=atomic_measures)
+def test_convolution_output_is_a_valid_k_transform(mu, nu):
+    n = 32
+    assert validate_k(k_transform(monotone_convolve(mu, nu, n), n)).all_ok
 
 
 def test_noncommutativity_witness():

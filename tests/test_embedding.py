@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import iterated_generator
 
-from monoconv import embedding
 from monoconv.branching import BranchingGenerator
 from monoconv.embedding import dirac_embedding, embedding_test
 from monoconv.errors import DomainError
 from monoconv.generator import HerglotzGenerator
-from monoconv.measure import KTransform
+from monoconv.measure import CircleMeasure, KTransform, k_transform
 from monoconv.semigroup import flow_coefficients
 
 
@@ -36,9 +38,8 @@ def test_pure_scaling_accepted():
 
 def test_square_rejected_everywhere():
     for order in (8, 16, 32):
-        for max_iter in (10, 200, 1000):
-            v = embedding_test(KTransform.monomial(2, order), max_iter=max_iter)
-            assert not v.embeddable and v.reason == "derivative_vanishes"
+        v = embedding_test(KTransform.monomial(2, order))
+        assert not v.embeddable and v.reason == "derivative_vanishes"
     custom = [0.1, 0.5j, -0.3 + 0.2j]
     v = embedding_test(KTransform.monomial(2, 16), grid=custom)
     assert not v.embeddable and v.reason == "derivative_vanishes"
@@ -80,18 +81,48 @@ def test_composition_doubles_the_parameter():
 
 
 def test_positivity_failure_detected():
-    # strongly squeezing quadratic self-map: the iteration limit exists but
+    # strongly squeezing quadratic self-map: the Koenigs function exists but
     # the recovered field has negative real part on the grid
     k = KTransform.from_coefficients([0, 0.2, 0.8] + [0.0] * 30)
-    v = embedding_test(k, max_iter=2000)
+    v = embedding_test(k)
+    assert not v.embeddable and v.reason == "positivity_fails"
+    assert v.iterations == 1
+
+
+def test_slow_flow_member_is_accepted():
+    # |K'(0)| = 0.986, near the identity: the orbits of K converge slowly
+    gen = seeded_gen(5)
+    k = KTransform(flow_coefficients(gen, 0.02, 32))
+    v = embedding_test(k)
+    assert v.embeddable and v.reason == "ok" and v.iterations == 1
+    assert abs(v.product - 0.02 * gen.beta) <= 1e-12 * abs(0.02 * gen.beta)
+
+
+def test_expanding_map_diverges():
+    # |K'(0)| > 1: by the Schwarz lemma not a self-map of the disk
+    v = embedding_test(KTransform.from_coefficients([0, 1.2, 0.1] + [0.0] * 10))
+    assert not v.embeddable and v.reason == "limit_diverges" and v.iterations == 0
+
+
+def three_atoms(angles, first_two_weights, order):
+    weights = [*first_two_weights, 1.0 - sum(first_two_weights)]
+    return k_transform(CircleMeasure.from_atoms(angles, weights), order)
+
+
+def test_pole_between_the_inner_rings_is_rejected():
+    # K' vanishes at |z| = 0.22, so u has a pole between the rings of radius
+    # 0.2 and 0.4 and no extrapolation of u(0) from them is valid
+    k = three_atoms([0.7459009, 4.22027221, 0.73691006], [0.13337343, 0.30453426], 32)
+    v = embedding_test(k)
     assert not v.embeddable and v.reason == "positivity_fails"
 
 
-def test_divergence_reported_when_iteration_budget_too_small():
-    gen = seeded_gen(5)
-    k = KTransform(flow_coefficients(gen, 0.02, 32))  # slow flow, tiny contraction
-    v = embedding_test(k, max_iter=5)
-    assert not v.embeddable and v.reason == "limit_diverges"
+def test_critical_point_inside_the_grid_vetoes_acceptance():
+    # K is a Blaschke product of degree 3, never univalent; u passes the
+    # positivity test on the grid, but K' vanishes at |z| = 0.21 and 0.45
+    k = three_atoms([0.44227162, 5.28967071, 2.6265537], [0.42887934, 0.224823], 16)
+    v = embedding_test(k)
+    assert not v.embeddable and v.reason == "derivative_vanishes"
 
 
 def test_rotation_dispatches_to_special_case():
@@ -136,13 +167,6 @@ def test_haar_is_not_embeddable():
     assert not v.embeddable and v.reason == "derivative_vanishes"
 
 
-def test_richardson_scale_follows_the_ring_constants():
-    # the angle average at radius r is u(0) + O(r^8) with 8 angles; the two
-    # innermost radii 0.2 and 0.4 give the weight 2^8, and exactly so
-    assert embedding._RING_RADII[:2] == (0.2, 0.4) and embedding._RING_ANGLES == 8
-    assert embedding._RICHARDSON_SCALE == 256.0
-
-
 def test_order_zero_transform_is_a_domain_error():
     # K'(0) is not stored, so there is nothing to test
     with pytest.raises(DomainError):
@@ -152,12 +176,6 @@ def test_order_zero_transform_is_a_domain_error():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"max_iter": 0},
-        {"max_iter": -3},
-        {"conv_tol": 0.0},
-        {"conv_tol": -1.0},
-        {"conv_tol": float("nan")},
-        {"conv_tol": float("inf")},
         {"branch_bound": -1},
         {"positivity_tol": -1e-6},
         {"positivity_tol": float("nan")},
@@ -165,8 +183,8 @@ def test_order_zero_transform_is_a_domain_error():
     ],
 )
 def test_limits_that_cannot_run_the_test_are_rejected(kwargs):
-    # with max_iter < 1 no iteration runs and with conv_tol <= 0 none can
-    # converge, so a limit_diverges verdict would come from no test at all
+    # a negative branch bound searches no branch; a negative or NaN tolerance
+    # fails every positivity test and an infinite one passes every one
     k = KTransform(flow_coefficients(seeded_gen(5), 0.5, 32))
     with pytest.raises(ValueError):
         embedding_test(k, **kwargs)
@@ -179,3 +197,47 @@ def test_derivative_series_is_built_once_per_transform():
     assert k._derivative is k._derivative
     assert np.array_equal(k.derivative_eval(z), first)
     assert np.array_equal(first, k.series.derivative()(z))
+
+
+# -- Koenigs route against the generator and the iteration oracle ------------
+
+
+def unit_mass_generator(b, atoms):
+    total = sum(w for _, w in atoms)
+    return HerglotzGenerator(b=b, rho=[(angle, w / total) for angle, w in atoms])
+
+
+def flow_members(t_min):
+    """(generator, t): 2-16 atoms of total mass 1, b in [-1, 1], t log-uniform in [t_min, 1.5].
+
+    With the mass fixed, |K'(0)| = e^{-t} stays above e^{-1.5}; a heavier
+    flow run long enough has |K'| below the derivative tolerance on the grid.
+    """
+    generators = st.builds(
+        unit_mass_generator,
+        st.floats(-1.0, 1.0),
+        st.lists(st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.05, 1.0)), min_size=2, max_size=16),
+    )
+    return st.tuples(generators, st.floats(np.log(t_min), np.log(1.5)).map(np.exp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(member=flow_members(1e-3))
+def test_flow_member_recovers_its_generator(member):
+    gen, t = member
+    v = embedding_test(KTransform(flow_coefficients(gen, t, 64)))
+    assert v.embeddable and v.reason == "ok"
+    assert abs(v.product - t * gen.beta) <= 1e-12 * abs(t * gen.beta)
+    grid = np.array(v.grid)
+    assert np.max(np.abs(np.array(v.u_estimate) - gen.eval(grid) / gen.beta)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(member=flow_members(0.05))
+def test_koenigs_route_matches_the_iteration_where_it_converges(member):
+    gen, t = member
+    k = KTransform(flow_coefficients(gen, t, 64))
+    iterated = iterated_generator(k)
+    if iterated is not None:
+        v = embedding_test(k)
+        assert np.max(np.abs(np.array(v.u_estimate) - iterated)) <= 1e-7

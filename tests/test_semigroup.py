@@ -14,7 +14,6 @@ from monoconv.semigroup import (
     evolve_pointwise,
     first_moment_law,
     flow_coefficients,
-    generator_from_flow,
     semigroup_defect,
 )
 from monoconv.series import TruncatedSeries
@@ -248,34 +247,6 @@ def test_defect_yule():
     tol = 1e-10
     grid = ring_grid((0.3, 0.6), 4)
     assert semigroup_defect(BranchingGenerator.yule(1.0, 2), 0.3, 0.3, grid, tol) <= 100 * tol
-
-
-# -- generator recovery -------------------------------------------------------
-
-
-def test_generator_from_linear_flow():
-    u = generator_from_flow(lambda t, z: np.exp(-t) * z, 0.5, 1e-4)
-    assert abs(u - 1.0) < 1e-7
-
-
-def test_generator_from_identity_flow():
-    u = generator_from_flow(lambda t, z: z, 0.4, 1e-4)
-    assert abs(u) < 1e-10  # rounding in the stencil is amplified by 1/h
-
-
-def test_generator_from_yule_flow():
-    alpha, k, z = 1.0, 2, 0.4
-    u = generator_from_flow(lambda t, w: yule_flow(alpha, k, t, w), z, 1e-4)
-    assert abs(u - alpha * (1 - z ** (k - 1))) < 1e-6
-
-
-def test_generator_from_ode_flow_round_trip():
-    rng = np.random.default_rng(41)
-    gen = rand_herglotz(rng)
-    u = generator_from_flow(
-        lambda t, z: evolve_pointwise(gen, t, z, 1e-12), 0.35 + 0.2j, 1e-4
-    )
-    assert abs(u - gen.eval(0.35 + 0.2j)) < 1e-6
 
 
 # -- first moment -------------------------------------------------------------
