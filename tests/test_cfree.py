@@ -53,10 +53,33 @@ def test_word_construction_matches_merge_and_drop_oracle(letters):
     assert Word(w.letters) == w
 
 
-@pytest.mark.parametrize("letters", [((3, 1),), ((0, 1),), ((1, -1),), ((1, 2), (2, -1))])
+@pytest.mark.parametrize(
+    "letters",
+    [
+        ((3, 1),),
+        ((0, 1),),
+        ((1, -1),),
+        ((1, 2), (2, -1)),
+        ((1, 1.5),),
+        ((2, 2.9),),
+        ((1.7, 1),),
+        ((1, 1.5), (2, 2.9), (1.7, 1)),
+        ((1, Fraction(3, 2)),),
+        ((1, inf),),
+        ((1, nan),),
+        ((nan, 1),),
+    ],
+)
 def test_word_rejects_bad_letters(letters):
     with pytest.raises(ValueError):
         Word(letters)
+
+
+def test_word_accepts_integral_letters_of_any_type():
+    letters = ((np.int64(1), np.int64(2)), (2.0, Fraction(6, 2)), (np.int32(1), np.float64(1.0)))
+    word = Word(letters)
+    assert word.letters == ((1, 2), (2, 3), (1, 1))
+    assert all(type(x) is int for letter in word.letters for x in letter)
 
 
 def test_power_zero_letters_are_transparent():
@@ -205,6 +228,20 @@ def test_non_finite_moments_rejected(moments):
         MomentFunctional(moments)
 
 
+@pytest.mark.parametrize("functional", [MomentFunctional([1, 2, 3]), MomentFunctional.delta()])
+@pytest.mark.parametrize("k", [-1, -2, -3])
+def test_negative_moment_order_rejected(functional, k):
+    with pytest.raises(ValueError, match="moment order must be >= 0"):
+        functional(k)
+
+
+def test_evaluator_rejects_negative_length_cap():
+    phi = MomentFunctional([1, 2])
+    with pytest.raises(ValueError, match="max_word_len"):
+        CFreeEvaluator(phi, phi, phi, phi, max_word_len=-5)
+    assert CFreeEvaluator(phi, phi, phi, phi, max_word_len=0).eval(Word(())) == 1
+
+
 def test_large_rational_moments_accepted():
     # exact moments are never converted to float, which would overflow
     huge = Fraction(10**400, 3)
@@ -224,6 +261,7 @@ def canonical_word(draw, max_len=8, max_power=4):
 
 _unit_floats = st.floats(-1.0, 1.0)
 _moments_of_kind = {
+    "int": st.integers(-3, 3),
     "fraction": st.fractions(-3, 3, max_denominator=6),
     "float": _unit_floats,
     "complex": st.builds(complex, _unit_floats, _unit_floats),
@@ -231,18 +269,28 @@ _moments_of_kind = {
 
 
 @st.composite
-def cfree_functionals(draw):
-    """phi1, psi1, phi2, psi2 with moments of one kind; a psi is sometimes delta."""
-    moments = _moments_of_kind[draw(st.sampled_from(sorted(_moments_of_kind)))]
+def cfree_functionals(draw, min_moments=16, max_moments=16):
+    """phi1, psi1, phi2, psi2 with moments of one kind, exact zeros among them.
+
+    Each psi is delta, an independent functional or its own phi, so both
+    zero shortcuts of the recursion (a zero drop or keep term, a zero phi
+    factor) are reached.
+    """
+    # 16 moments cover an alternating word of length 8 and power 4
+    kind = _moments_of_kind[draw(st.sampled_from(sorted(_moments_of_kind)))]
+    moments = kind | kind.map(lambda m: 0 * m)  # a zero of the same type
 
     def functional():
-        # an alternating word of length 8 and power 4 needs orders up to 16
-        return MomentFunctional(draw(st.lists(moments, min_size=16, max_size=16)))
+        return MomentFunctional(draw(st.lists(moments, min_size=min_moments, max_size=max_moments)))
 
-    def psi():
-        return MomentFunctional.delta() if draw(st.booleans()) else functional()
+    def psi(phi):
+        choice = draw(st.sampled_from(("delta", "independent", "phi")))
+        if choice == "delta":
+            return MomentFunctional.delta()
+        return functional() if choice == "independent" else phi
 
-    return functional(), psi(), functional(), psi()
+    phi1, phi2 = functional(), functional()
+    return phi1, psi(phi1), phi2, psi(phi2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,6 +303,30 @@ def test_interned_evaluator_matches_nested_tuple_oracle(functionals, words):
         expect = oracle.eval(word)
         assert got == expect
         assert type(got) is type(expect)
+
+
+def _outcome(evaluate, word):
+    try:
+        return "value", evaluate(word)
+    except DomainError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(functionals=cfree_functionals(min_moments=0, max_moments=8), word=canonical_word(max_len=5, max_power=3))
+def test_short_moment_list_raises_the_oracles_order(functionals, word):
+    # a skipped zero term must not hide a missing moment, nor name another order
+    got = _outcome(CFreeEvaluator(*functionals).eval, word)
+    assert got == _outcome(NestedTupleCFree(*functionals).eval, word)
+
+
+def test_short_moment_list_error_names_the_merged_order():
+    phi = MomentFunctional([1, 2, 3])
+    word = Word(((1, 2), (2, 1), (1, 2)))  # the free recursion merges x^2 x^2 = x^4
+    with pytest.raises(DomainError, match="moment of order 4 required but only 3 stored"):
+        NestedTupleCFree(phi, phi, phi, phi).eval(word)
+    with pytest.raises(DomainError, match="moment of order 4 required but only 3 stored"):
+        CFreeEvaluator(phi, phi, phi, phi).eval(word)
 
 
 # -- bridge to measures and operators ----------------------------------------------

@@ -3,15 +3,19 @@
 ``perfbench/tracer.py`` patches each name in ``BOUNDARIES``: ``mod.func``
 as an attribute of ``monoconv.mod``, ``mod.Class.method`` as an entry of
 the class's own ``__dict__``.  A refactor that moves or renames one of
-them would otherwise show up only as a failed benchmark run.
+them would otherwise show up only as a failed benchmark run.  The cfree
+sweep must also pass through its two per-word boundaries once per word.
 """
 
 import importlib
 import importlib.util
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from monoconv import cfree
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -32,3 +36,24 @@ def test_tracer_boundary_resolves(dotted):
     else:
         target = vars(getattr(module, attrs[0]))[attrs[1]]
     assert inspect.isfunction(target)
+
+
+def test_sweep_calls_each_per_word_boundary_once_per_word(monkeypatch):
+    # the tracer times the sweep's words through these two names; a sweep
+    # that bypassed them would leave its per-layer numbers empty
+    calls = {"eval": 0, "monotone_eval": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(cfree.CFreeEvaluator, "eval", counting("eval", cfree.CFreeEvaluator.eval))
+    monkeypatch.setattr(cfree, "monotone_eval", counting("monotone_eval", cfree.monotone_eval))
+    phi1 = cfree.MomentFunctional([Fraction(k % 5 - 2, k % 3 + 1) for k in range(18)])
+    phi2 = cfree.MomentFunctional([Fraction(k % 7 - 3, k % 4 + 1) for k in range(18)])
+    defect, count = cfree.monotone_specialization_defect(phi1, phi2, max_len=6, max_power=3)
+    assert (defect, count) == (0, 2184)
+    assert calls == {"eval": 2184, "monotone_eval": 2184}
