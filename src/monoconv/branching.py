@@ -127,15 +127,6 @@ class BranchingGenerator:
                 c[j - 1] -= lam
         return TruncatedSeries(c)
 
-    def vector_field(self, n: int = DEFAULT_ORDER) -> TruncatedSeries:
-        c = np.zeros(n + 1, dtype=np.complex128)
-        if n >= 1:
-            c[1] = -self.alpha
-        for j, lam in self._rates:
-            if j <= n:
-                c[j] += lam
-        return TruncatedSeries(c)
-
     def __repr__(self):
         return f"BranchingGenerator(rates={dict(self._rates)!r})"
 
@@ -188,18 +179,11 @@ class GWSimulation:
     seed: int
 
 
-def simulate_gw(
-    law: OffspringLaw,
-    n_steps: int,
-    trials: int,
-    z_samples,
-    seed: int,
-    population_cap: int = _POPULATION_CAP,
-) -> GWSimulation:
+def simulate_gw(law: OffspringLaw, n_steps: int, trials: int, z_samples, seed: int) -> GWSimulation:
     """Simulate Y_0 = 1, Y_{n+1} = sum of Y_n offspring draws, and average z^{Y_n}.
 
     The seed fully determines the output (single PCG64 stream, trials
-    vectorized per generation).  A population above ``population_cap``
+    vectorized per generation).  A population above 10**7 in any trial
     aborts with an explicit supercritical-overflow error.  Sample points
     must lie in the closed unit disk, where z^{Y_n} cannot overflow.
     """
@@ -214,17 +198,12 @@ def simulate_gw(
     pvals = np.asarray(law.p, dtype=float)
     counts_values = np.arange(pvals.size)
     pop = np.ones(trials, dtype=np.int64)
-    for step in range(n_steps):
-        if np.max(pop) > population_cap:
+    for step in range(1, n_steps + 1):
+        pop = rng.multinomial(pop, pvals) @ counts_values
+        if np.max(pop) > _POPULATION_CAP:
             raise SupercriticalOverflowError(
-                f"population exceeded {population_cap} at generation {step}"
+                f"population exceeded {_POPULATION_CAP} at generation {step}"
             )
-        counts = rng.multinomial(pop, pvals)
-        pop = counts @ counts_values
-    if np.max(pop) > population_cap:
-        raise SupercriticalOverflowError(
-            f"population exceeded {population_cap} at generation {n_steps}"
-        )
 
     sizes, counts = np.unique(pop, return_counts=True)
     freq = counts / trials

@@ -184,7 +184,8 @@ class CFreeEvaluator:
     ids, and the memo and the merges of neighboring letters are keyed on
     ids.  Words arrive canonical (see :class:`Word`), so the letters of a
     state always alternate between the two algebras, and a table maps each
-    word letter (algebra, power) straight to the id of x^power.
+    word letter (algebra, power) straight to the id of x^power.  A word of
+    more than 16 letters, the expansion cap, raises ``DomainError``.
 
     Work that is exactly zero is skipped: a zero value of the dropped state
     is not multiplied by the psi scalar, a zero value of the kept state is
@@ -200,12 +201,9 @@ class CFreeEvaluator:
     A missing moment raises the same ``DomainError``.
     """
 
-    def __init__(self, phi1, psi1, phi2, psi2, max_word_len: int = _MAX_WORD_LEN):
-        if max_word_len < 0:
-            raise ValueError(f"max_word_len must be >= 0, got {max_word_len}")
+    def __init__(self, phi1, psi1, phi2, psi2):
         self._phi = {1: phi1, 2: phi2}
         self._psi = {1: psi1, 2: psi2}
-        self.max_word_len = max_word_len
         self._ids = {}  # (algebra, polynomial) -> letter id
         self._word_ids = {}  # word letter (algebra, power) -> id of x^power
         self._letters = []  # id -> (algebra, polynomial)
@@ -215,10 +213,8 @@ class CFreeEvaluator:
         self._memo = {}
 
     def eval(self, word: Word):
-        if len(word) > self.max_word_len:
-            raise DomainError(
-                f"word length {len(word)} exceeds the expansion cap {self.max_word_len}"
-            )
+        if len(word) > _MAX_WORD_LEN:
+            raise DomainError(f"word length {len(word)} exceeds the expansion cap {_MAX_WORD_LEN}")
         if len(word) == 1:
             # phi(x^p) = 0 + phi(p), as in _phi_value; a lone letter is not
             # interned, so a sweep of many powers keeps no polynomial alive
@@ -306,7 +302,10 @@ class CFreeEvaluator:
         """left + right with the two letters meeting at the seam multiplied.
 
         The seam letters sit on either side of a dropped letter of an
-        alternating state, so they come from the same algebra.
+        alternating state, so they come from the same algebra.  The dropped
+        letter is the first one not psi-centered, and every letter after it
+        is still an untouched word letter x^q, so the product with the right
+        seam letter is a shift of the left one by q.
         """
         if not (left and right):
             return left + right
@@ -314,8 +313,8 @@ class CFreeEvaluator:
         joined = self._merged.get(pair)
         if joined is None:
             alg, a = self._letters[left[-1]]
-            b = self._letters[right[0]][1]
-            joined = self._merged[pair] = self._intern(alg, _poly_mul(a, b))
+            q = len(self._letters[right[0]][1]) - 1
+            joined = self._merged[pair] = self._intern(alg, (0,) * q + a)
         return left[:-1] + (joined,) + right[1:]
 
 
@@ -332,17 +331,6 @@ def _tail(functional, poly):
         if poly[k] != 0:
             tail = tail + poly[k] * functional(k)
     return tail
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if cb != 0:
-                out[i + j] = out[i + j] + ca * cb
-    return tuple(out)
 
 
 def cfree_eval(word: Word, phi1, psi1, phi2, psi2):

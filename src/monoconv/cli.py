@@ -69,8 +69,6 @@ def _measure_from_obj(obj, path):
             )
         if "moments" in obj:
             return CircleMeasure.from_moments([complex(re, im) for re, im in obj["moments"]])
-    except InputError:
-        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: invalid measure: {exc}") from exc
     raise InputError(f"{path}: expected an object with 'atoms' or 'moments'")

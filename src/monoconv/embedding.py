@@ -34,6 +34,10 @@ __all__ = ["EmbeddingVerdict", "embedding_test", "dirac_embedding", "DiracEmbedd
 
 _DERIV_TOL = 1e-9
 _ROTATION_TOL = 1e-12
+# log branches 0, +-1, ..., +-_BRANCH_BOUND are searched; a branch passes
+# when Re(beta u/u(0)) >= -_POSITIVITY_TOL on the grid
+_BRANCH_BOUND = 8
+_POSITIVITY_TOL = 1e-6
 
 _RING_RADII = (0.2, 0.4, 0.6)
 _RING_ANGLES = 8
@@ -61,8 +65,8 @@ class EmbeddingVerdict:
     origin, at a grid point, or inside the outer ring, where a critical
     point makes K non-univalent), ``limit_diverges`` (|K'(0)| >= 1 and K
     is not a rotation, so by the Schwarz lemma K is not a self-map of the
-    disk) or ``positivity_fails`` (no branch has Re(beta u/u(0)) >=
-    -positivity_tol on the grid).
+    disk) or ``positivity_fails`` (none of the branches 0, +-1, ..., +-8
+    has Re(beta u/u(0)) >= -1e-6 on the grid).
     """
 
     embeddable: bool
@@ -77,25 +81,15 @@ class EmbeddingVerdict:
     iterations: int = 0
 
 
-def embedding_test(
-    k: KTransform,
-    grid=None,
-    branch_bound: int = 8,
-    positivity_tol: float = 1e-6,
-) -> EmbeddingVerdict:
-    """Run the embeddability test on ``k``.
+def embedding_test(k: KTransform) -> EmbeddingVerdict:
+    """Run the embeddability test on ``k``, which must have order >= 1.
 
     Point masses are recognized and dispatched to the special verdict (see
-    :func:`dirac_embedding` for the full countable family).  Grid points
-    supplied by the caller are added to the built-in rings for the
-    derivative and positivity checks.  ``k`` must have order >= 1, and the
-    limits must let the test run: ``branch_bound >= 0`` and
-    ``positivity_tol`` finite and >= 0 (a ``ValueError`` otherwise).
+    :func:`dirac_embedding` for the full countable family).  The derivative
+    and positivity checks run on :func:`default_grid`; the log branches
+    0, +-1, ..., +-8 are searched, and a branch passes when
+    Re(beta u/u(0)) >= -1e-6 at every grid point.
     """
-    if branch_bound < 0:
-        raise ValueError("branch_bound must be >= 0")
-    if not 0.0 <= positivity_tol < np.inf:
-        raise ValueError("positivity_tol must be finite and >= 0")
     if k.order < 1:
         raise DomainError("the embedding test needs a K-transform of order >= 1")
     rot = _rotation_angle(k)
@@ -108,16 +102,7 @@ def embedding_test(
     if abs(c1) >= 1.0:
         return EmbeddingVerdict(embeddable=False, reason="limit_diverges")
 
-    base = default_grid()
-    if grid is None:
-        pts = base
-    else:
-        extra = np.asarray(grid, dtype=complex).ravel()
-        if np.any(np.abs(extra) >= 1.0):
-            raise DomainError("grid points must lie inside the open unit disk")
-        extra = extra[np.abs(extra) > 1e-8]  # 0 is the removable singularity of h/(z h')
-        pts = np.concatenate([base, extra])
-
+    pts = default_grid()
     dk = k.derivative_eval(pts)
     if np.min(np.abs(dk)) <= _DERIV_TOL:
         return EmbeddingVerdict(embeddable=False, reason="derivative_vanishes")
@@ -129,9 +114,9 @@ def embedding_test(
 
     principal = -np.log(c1)  # |c1| < 1, so every branch of the product is nonzero
     passing = []
-    for branch in _branch_order(branch_bound):
+    for branch in _branch_order():
         product = principal - TWO_PI * 1j * branch
-        if float(np.min(np.real(product / abs(product) * u_norm))) >= -positivity_tol:
+        if float(np.min(np.real(product / abs(product) * u_norm))) >= -_POSITIVITY_TOL:
             passing.append(branch)
     if not passing or _has_critical_point(k):
         return EmbeddingVerdict(
@@ -184,9 +169,9 @@ def _has_critical_point(k: KTransform) -> bool:
     return not abs(winding) < 0.5
 
 
-def _branch_order(bound: int):
+def _branch_order():
     yield 0
-    for j in range(1, bound + 1):
+    for j in range(1, _BRANCH_BOUND + 1):
         yield j
         yield -j
 

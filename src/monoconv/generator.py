@@ -63,8 +63,11 @@ class HerglotzGenerator:
         Approximates the constant generator u = mass: the exact value is
         u(z) = mass * (1 + 2 z^n / (1 - z^n)), so the deviation from the
         constant is below 1e-12 for |z| <= 0.65 at the default n = 64.
+        ``n_atoms`` must be >= 1 (a ``ValueError`` otherwise).
         """
         n = int(n_atoms)
+        if n < 1:
+            raise ValueError("a uniform generator needs at least one atom")
         w = mass / n
         return cls(0.0, [(2.0 * np.pi * j / n, w) for j in range(n)])
 
@@ -85,11 +88,8 @@ class HerglotzGenerator:
         if (np.abs(z) >= 1.0).any():
             raise DomainError("generator is defined on the open unit disk")
         omega = self._omega
-        if omega.size:
-            terms = (omega + z[..., None]) / (omega - z[..., None])
-            val = 1j * self.b + terms @ self._cweights
-        else:
-            val = np.full_like(z, 1j * self.b)
+        terms = (omega + z[..., None]) / (omega - z[..., None])
+        val = 1j * self.b + terms @ self._cweights
         return val if val.ndim else complex(val)
 
     def vector_field_at(self, z):
@@ -106,13 +106,6 @@ class HerglotzGenerator:
         if self._weights.size:
             m = np.arange(1, n + 1)
             c[1:] = 2.0 * np.exp(-1j * np.outer(m, self._angles)) @ self._cweights
-        return TruncatedSeries(c)
-
-    def vector_field(self, n: int = DEFAULT_ORDER) -> TruncatedSeries:
-        """Series of v(z) = -z u(z) through order n."""
-        u = self.series(max(n - 1, 0)).coeffs
-        c = np.zeros(n + 1, dtype=np.complex128)
-        c[1 : u.size + 1] = -u[:n]
         return TruncatedSeries(c)
 
     def __repr__(self):

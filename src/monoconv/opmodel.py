@@ -51,8 +51,7 @@ class MatrixModel:
 
     def __post_init__(self):
         state = np.asarray(self.state, dtype=complex).reshape(self.dim)
-        nrm = np.linalg.norm(state)
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(state) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("state vector must have unit norm")
         object.__setattr__(self, "state", state)
         ops = {}
@@ -60,6 +59,8 @@ class MatrixModel:
             m = np.asarray(mat, dtype=complex)
             if m.shape != (self.dim, self.dim):
                 raise ValueError(f"operator {name!r} is not {self.dim}x{self.dim}")
+            if not np.isfinite(m).all():
+                raise ValueError(f"operator {name!r} has non-finite entries")
             ops[name] = m
         object.__setattr__(self, "operators", ops)
 
@@ -255,23 +256,18 @@ def _random_contraction(rng, dim: int, radius: float = 0.6) -> np.ndarray:
     return a * (radius * rng.uniform(0.3, 1.0) / max(spectral_norm(a), 1e-300))
 
 
-def random_composition_suite(
-    seed: int = 0,
-    cases: int = 100,
-    points_per_case: int = 20,
-    z_radius: float = 0.2,
-) -> dict:
+def random_composition_suite(seed: int = 0, cases: int = 100) -> dict:
     """Composition-rule defects over random seeded monotone-product models.
 
     Each case draws factor dimensions from {(2,2), (2,3), (3,2)}, random
     states, contractions of norm <= 0.8 for the left generators and the
     right operator, unit-modulus scalar parts with a2 = 1/a1 (which puts
-    V2 V1 - 1 in the left image), and ``points_per_case`` points with
-    |z| <= z_radius.  Returns the worst defect (over >= 1 cases) and
-    per-case summaries.
+    V2 V1 - 1 in the left image), and 20 points with |z| <= 0.2.  Returns
+    the worst defect (over >= 1 cases) and per-case summaries.
     """
     if cases < 1:
         raise ValueError("need at least one case")
+    points_per_case, z_radius = 20, 0.2
     rng = np.random.default_rng(seed)
     dims = [(2, 2), (2, 3), (3, 2)]
     worst = 0.0
@@ -399,9 +395,12 @@ def diagonal_unitary_model(angles, weights, name: str) -> MatrixModel:
     """Atomic circle measure realized as a diagonal unitary.
 
     The state carries the square roots of the weights, so operator moments
-    of the named unitary equal the measure moments.
+    of the named unitary equal the measure moments.  The weights must be
+    nonnegative (a ``ValueError`` otherwise).
     """
     angles = [canonical_angle(t) for t in angles]
     w = np.asarray(weights, dtype=float)
+    if not np.all(w >= 0):
+        raise ValueError("weights must be nonnegative")
     u = np.diag(np.exp(1j * np.asarray(angles)))
     return MatrixModel(len(angles), np.sqrt(w).astype(complex), {name: u})

@@ -20,9 +20,10 @@ call at the level of the tolerance (identical calls give identical values).
 :func:`first_moment_law`, :func:`semigroup_defect` and
 :func:`evolve_pointwise` (one time, one point) are thin callers of it.
 
-Any generator object with ``eval``, ``vector_field_at``, ``vector_field``
-and ``beta`` works here (both :class:`~monoconv.generator.HerglotzGenerator`
-and :class:`~monoconv.branching.BranchingGenerator` qualify).
+Any generator object with ``beta``, ``series`` (the Taylor coefficients
+of u) and ``vector_field_at`` (v = -z u at points) works here (both
+:class:`~monoconv.generator.HerglotzGenerator` and
+:class:`~monoconv.branching.BranchingGenerator` qualify).
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ _DP_B4 = np.array(
 )
 _DP_E = (_DP_A[6] - _DP_B4).astype(complex)
 
+_MAX_STEPS = 10**6  # steps of one integration, accepted or rejected
 
-def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float, max_steps: int) -> np.ndarray:
+
+def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float) -> np.ndarray:
     """Dormand-Prince integration of y' = f(y) for every entry of ``y0`` at once.
 
     ``t_out`` holds sorted, distinct, positive output times; the result has
@@ -66,7 +69,8 @@ def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float, max_steps: int)
     to each output time in turn, and a step is accepted when every point
     meets |error| <= tol (1 + max(|y|, |y_new|)).  A trial step whose stage
     leaves the disk (``f`` raises DomainError) is rejected like one that
-    fails the error test.
+    fails the error test.  More than ``_MAX_STEPS`` steps, accepted or
+    not, raise StepSizeUnderflowError.
     """
     out = np.empty((t_out.size, y0.size), dtype=complex)
     # w[0] is the state y and w[1 + j] the stage slope k_j.  Row i of
@@ -86,9 +90,9 @@ def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float, max_steps: int)
     for row, t_end in enumerate(t_out.tolist()):
         dt_floor = 0.25 * np.finfo(float).eps * t_end
         while t_end - t > 16.0 * dt_floor:  # else within machine resolution
-            if n_steps >= max_steps:
+            if n_steps >= _MAX_STEPS:
                 raise StepSizeUnderflowError(
-                    f"ODE integration exceeded {max_steps} steps before t={t_end}"
+                    f"ODE integration exceeded {_MAX_STEPS} steps before t={t_end}"
                 )
             h = min(dt, t_end - t)
             if h <= dt_floor or t + h == t:
@@ -126,7 +130,7 @@ def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float, max_steps: int)
     return out
 
 
-def evolve(gen, times, points, tol: float = 1e-10, max_steps: int = 10**6) -> np.ndarray:
+def evolve(gen, times, points, tol: float = 1e-10) -> np.ndarray:
     """K_t(z) for every requested time and point, as a (len(times), len(points)) array.
 
     One adaptive integration of dK/dt = v(K) from K_0(z) = z runs through
@@ -134,8 +138,10 @@ def evolve(gen, times, points, tol: float = 1e-10, max_steps: int = 10**6) -> np
     rows come back in the caller's order, and rows for t = 0 are the inputs
     exactly.  Because the step is shared, a value depends on the other
     points of the call at the level of the tolerance.  Requires |z| < 1
-    and finite t >= 0 for every point and time.  The modulus |K_t| is
-    non-increasing along the exact flow, so the values stay inside the disk.
+    and finite t >= 0 for every point and time, and a finite tol > 0 (a
+    ``ValueError`` otherwise).  At most 10**6 steps are taken.  The modulus
+    |K_t| is non-increasing along the exact flow, so the values stay inside
+    the disk.
     """
     ts = np.asarray(times, dtype=float).ravel()
     zs = np.asarray(points, dtype=complex).ravel()
@@ -143,20 +149,20 @@ def evolve(gen, times, points, tol: float = 1e-10, max_steps: int = 10**6) -> np
         raise DomainError("evolution is defined for |z| < 1")
     if not np.all((ts >= 0) & (ts < np.inf)):
         raise DomainError("evolution time must be finite and >= 0")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tolerance must be positive and finite")
     grid, inverse = np.unique(ts, return_inverse=True)
     values = np.empty((grid.size, zs.size), dtype=complex)
     moving = grid > 0
     values[~moving] = zs
     if moving.any():
-        values[moving] = _integrate(gen.vector_field_at, zs, grid[moving], tol, max_steps)
+        values[moving] = _integrate(gen.vector_field_at, zs, grid[moving], tol)
     return values[inverse]
 
 
-def evolve_pointwise(gen, t: float, z: complex, tol: float = 1e-10, max_steps: int = 10**6) -> complex:
+def evolve_pointwise(gen, t: float, z: complex, tol: float = 1e-10) -> complex:
     """K_t(z) at one time and one point; see :func:`evolve`."""
-    return complex(evolve(gen, [t], [z], tol, max_steps)[0, 0])
+    return complex(evolve(gen, [t], [z], tol)[0, 0])
 
 
 def flow_coefficients(gen, t: float, n: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -178,7 +184,8 @@ def flow_coefficients(gen, t: float, n: int = DEFAULT_ORDER) -> TruncatedSeries:
         raise DomainError(
             "coefficient recursion needs u(0) != 0; use evolve_pointwise instead"
         )
-    v = gen.vector_field(n).coeffs
+    v = np.zeros(n + 1, dtype=np.complex128)  # v(z) = -z u(z)
+    v[1:] = -gen.series(n - 1).coeffs
     table = np.zeros((n + 1, n + 1), dtype=np.complex128)  # table[k, m] = [f^k]_m
     f = table[1]  # row 1 of the table is f itself, solved for in place
     df = np.zeros(n + 1, dtype=np.complex128)  # coefficients k f_k of z f'(z)
@@ -193,33 +200,37 @@ def flow_coefficients(gen, t: float, n: int = DEFAULT_ORDER) -> TruncatedSeries:
     return TruncatedSeries(f)
 
 
-def semigroup_defect(gen, s: float, t: float, grid, tol: float = 1e-10) -> float:
+def semigroup_defect(gen, s: float, t: float, grid) -> float:
     """max over the grid of |K_{s+t}(z) - K_s(K_t(z))|, both sides by ODE.
 
-    For an exact semigroup the defect is pure integration error, roughly
-    within 100x the local tolerance.
+    Every integration runs at the local tolerance 1e-10; for an exact
+    semigroup the defect is pure integration error, roughly within 100x
+    that tolerance.
     """
     if s < 0 or t < 0:
         raise DomainError("semigroup times must be >= 0")
     zs = np.asarray(grid, dtype=complex).ravel()
-    lhs = evolve(gen, [s + t], zs, tol)[0]
-    rhs = evolve(gen, [s], evolve(gen, [t], zs, tol)[0], tol)[0]
+    lhs = evolve(gen, [s + t], zs)[0]
+    rhs = evolve(gen, [s], evolve(gen, [t], zs)[0])[0]
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
-def first_moment_law(gen, t: float, radius: float = 0.5, nodes: int = 64, tol: float = 1e-12):
+def first_moment_law(gen, t: float):
     """(computed m_1 of mu_t, predicted e^{-t u(0)}).
 
     The computed value is the contour average
     m_1 = (1/M) sum_j K_t(r e^{i theta_j}) e^{-i theta_j} / r
-    over the ODE flow, an oracle independent of the coefficient recursion;
-    the aliasing error is below r^nodes.  Works for u(0) = 0 as well.
+    over the ODE flow at M = 64 nodes on the circle r = 0.5, integrated at
+    the local tolerance 1e-12: an oracle independent of the coefficient
+    recursion, whose aliasing error is below r^M.  Works for u(0) = 0 as
+    well.
     """
     if t < 0:
         raise DomainError("evolution time must be >= 0")
+    radius, nodes = 0.5, 64
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     ring = radius * np.exp(1j * theta)
-    vals = evolve(gen, [t], ring, tol)[0]
+    vals = evolve(gen, [t], ring, 1e-12)[0]
     computed = complex(np.mean(vals * np.exp(-1j * theta)) / radius)
     predicted = complex(np.exp(-t * complex(gen.beta)))
     return computed, predicted

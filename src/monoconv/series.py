@@ -89,12 +89,6 @@ class TruncatedSeries:
         return cls(np.zeros(order + 1))
 
     @classmethod
-    def constant(cls, value, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[0] = value
-        return cls(c)
-
-    @classmethod
     def identity(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         """The series z."""
         return cls.monomial(1, order)

@@ -2,12 +2,13 @@
 
 ``horner_compose`` is nested (Horner) composition on series and
 ``recursion_flow_coefficients`` solves v(f) = v f' one coefficient at a
-time with one full composition per coefficient.  Neither shares code with
-the power table of :mod:`monoconv.series`.  ``merge_and_drop`` is the
-canonical form of a cfree word, computed apart from ``Word``.
-``NestedTupleCFree`` is the two-state recursion on states that carry
-every letter's polynomial, re-deriving psi tails, phi values and merges
-at each state; the interned evaluator must agree with it exactly.
+time with one full composition per coefficient, on the series
+``vector_field`` of v = -z u.  Neither shares code with the power table
+of :mod:`monoconv.series`.  ``merge_and_drop`` is the canonical form of a
+cfree word, computed apart from ``Word``.  ``NestedTupleCFree`` is the
+two-state recursion on states that carry every letter's polynomial,
+re-deriving psi tails, phi values and merges (full polynomial products) at
+each state; the interned evaluator must agree with it exactly.
 ``iterated_generator`` reaches u/u(0) without the Koenigs function: it
 iterates -K^n/(K^n)' to a Cauchy tolerance and takes u(0) by Richardson
 extrapolation over the two inner grid rings.
@@ -17,7 +18,7 @@ from itertools import groupby
 
 import numpy as np
 
-from monoconv.cfree import _poly_mul, _tail
+from monoconv.cfree import _tail
 from monoconv.embedding import default_grid
 from monoconv.series import TruncatedSeries
 
@@ -33,9 +34,16 @@ def horner_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     return acc
 
 
+def vector_field(gen, n: int) -> TruncatedSeries:
+    """Series of v(z) = -z u(z) through order n >= 1, from the series of u."""
+    c = np.zeros(n + 1, dtype=np.complex128)
+    c[1:] = -gen.series(n - 1).coeffs
+    return TruncatedSeries(c)
+
+
 def recursion_flow_coefficients(gen, t: float, n: int) -> TruncatedSeries:
     """f_1..f_n of K_t, each f_m from one Horner composition v(f) at step m."""
-    v = gen.vector_field(n)
+    v = vector_field(gen, n)
     f = np.zeros(n + 1, dtype=np.complex128)
     f[1] = np.exp(-t * complex(gen.beta))
     for m in range(2, n + 1):
@@ -97,6 +105,17 @@ def _merge(left, right):
         joined = (alg, _poly_mul(left[-1][1], right[0][1]))
         return left[:-1] + (joined,) + right[1:]
     return left + right
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            if cb != 0:
+                out[i + j] = out[i + j] + ca * cb
+    return tuple(out)
 
 
 _RING_ANGLES = 8

@@ -63,7 +63,7 @@ def test_criterion_01_appendix_reproduction():
 
 def test_criterion_02_composition_rule_suite():
     start = time.perf_counter()
-    rep = random_composition_suite(seed=20260810, cases=100, points_per_case=20, z_radius=0.2)
+    rep = random_composition_suite(seed=20260810, cases=100)
     elapsed = time.perf_counter() - start
     report(
         "02 composition-rule-suite",

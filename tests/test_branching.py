@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import vector_field
 
 from monoconv.branching import (
     BranchingGenerator,
@@ -17,19 +18,19 @@ from monoconv.semigroup import evolve_pointwise
 
 
 def test_vector_field_single_rate():
-    v = BranchingGenerator.yule(2.5, 3).vector_field(8)
+    v = vector_field(BranchingGenerator.yule(2.5, 3), 8)
     expect = np.zeros(9, dtype=complex)
     expect[1], expect[3] = -2.5, 2.5
     assert np.allclose(v.coeffs, expect, atol=0)
 
 
 def test_vector_field_empty():
-    v = BranchingGenerator({}).vector_field(6)
+    v = vector_field(BranchingGenerator({}), 6)
     assert np.allclose(v.coeffs, 0, atol=0)
 
 
 def test_vector_field_two_rates():
-    v = BranchingGenerator({2: 1.0, 3: 1.0}).vector_field(6)
+    v = vector_field(BranchingGenerator({2: 1.0, 3: 1.0}), 6)
     expect = np.zeros(7, dtype=complex)
     expect[1], expect[2], expect[3] = -2.0, 1.0, 1.0
     assert np.allclose(v.coeffs, expect, atol=0)
@@ -180,8 +181,10 @@ def test_simulation_reproducible():
 
 
 def test_supercritical_overflow():
-    with pytest.raises(SupercriticalOverflowError):
+    # every individual has two children: 2**24 is the first population above 10**7
+    with pytest.raises(SupercriticalOverflowError, match="exceeded 10000000 at generation 24$"):
         simulate_gw(OffspringLaw([0, 0, 1.0]), 30, 2, [0.5], seed=1)
+    simulate_gw(OffspringLaw([0, 0, 1.0]), 23, 2, [0.5], seed=1)
 
 
 def test_simulation_rejects_points_outside_closed_disk():

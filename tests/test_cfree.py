@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import NestedTupleCFree, merge_and_drop
 
+import monoconv.cfree as cfree
 from monoconv.cfree import (
     CFreeEvaluator,
     MomentFunctional,
@@ -235,11 +236,13 @@ def test_negative_moment_order_rejected(functional, k):
         functional(k)
 
 
-def test_evaluator_rejects_negative_length_cap():
+def test_length_cap_zero_admits_only_the_empty_word(monkeypatch):
+    monkeypatch.setattr(cfree, "_MAX_WORD_LEN", 0)
     phi = MomentFunctional([1, 2])
-    with pytest.raises(ValueError, match="max_word_len"):
-        CFreeEvaluator(phi, phi, phi, phi, max_word_len=-5)
-    assert CFreeEvaluator(phi, phi, phi, phi, max_word_len=0).eval(Word(())) == 1
+    evaluator = CFreeEvaluator(phi, phi, phi, phi)
+    assert evaluator.eval(Word(())) == 1
+    with pytest.raises(DomainError, match="word length 1 exceeds the expansion cap 0"):
+        evaluator.eval(Word(((1, 1),)))
 
 
 def test_large_rational_moments_accepted():

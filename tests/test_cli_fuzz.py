@@ -69,6 +69,7 @@ CASES = [
     ("evolve-empty-time", ["evolve", "{gen}", "--t=", "--z", "0.5"], {"gen": GEN}, 2),
     ("evolve-zero-tol", ["evolve", "{gen}", "--t", "1", "--z", "0.5", "--tol", "0"], {"gen": GEN}, 2),
     ("evolve-nan-tol", ["evolve", "{gen}", "--t", "1", "--z", "0.5", "--tol", "nan"], {"gen": GEN}, 2),
+    ("evolve-inf-tol", ["evolve", "{gen}", "--t", "5", "--z", "0.5", "--tol", "inf"], {"gen": GEN}, 2),
     ("evolve-grid-malformed", ["evolve", "{gen}", "--t", "1", "--grid", "{grid}"], {"gen": GEN, "grid": "[[0.1,"}, 2),
     ("evolve-grid-number", ["evolve", "{gen}", "--t", "1", "--grid", "{grid}"], {"gen": GEN, "grid": "3"}, 2),
     ("evolve-grid-triples", ["evolve", "{gen}", "--t", "1", "--grid", "{grid}"], {"gen": GEN, "grid": "[[0.1, 0.2, 0.3]]"}, 2),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,28 @@ def test_name_collision_rejected():
     m2 = MatrixModel(2, rand_state(rng, 2), {"X": rand_matrix(rng, 2)})
     with pytest.raises(ValueError):
         monotone_product(m1, m2)
+
+
+@pytest.mark.parametrize("state", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0]])
+def test_model_rejects_a_non_finite_state(state):
+    # abs(nan - 1) > 1e-12 is False, so a bare distance test would pass NaN
+    with pytest.raises(ValueError, match="unit norm"):
+        MatrixModel(2, state, {"X": np.eye(2)})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_model_rejects_non_finite_operators(bad):
+    mat = np.eye(2, dtype=complex)
+    mat[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        MatrixModel(2, [1.0, 0.0], {"X": mat})
+
+
+def test_diagonal_unitary_model_rejects_negative_weights():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no square root of a negative weight is taken
+        with pytest.raises(ValueError, match="nonnegative"):
+            diagonal_unitary_model([0, 1], [1.5, -0.5], "U")
 
 
 def test_independence_defect_of_product():

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import recursion_flow_coefficients
 
+import monoconv.semigroup as semigroup
 from monoconv._util import ring_grid
 from monoconv.branching import BranchingGenerator, yule_flow
 from monoconv.errors import DomainError, StepSizeUnderflowError
 from monoconv.generator import HerglotzGenerator
-from monoconv.measure import KTransform, k_transform, validate_k
+from monoconv.measure import KTransform, validate_k
 from monoconv.semigroup import (
     evolve,
     evolve_pointwise,
@@ -30,9 +31,9 @@ class ConstGen:
     def vector_field_at(self, z):
         return -z
 
-    def vector_field(self, n):
+    def series(self, n):
         c = np.zeros(n + 1, dtype=complex)
-        c[1] = -1.0
+        c[0] = 1.0
         return TruncatedSeries(c)
 
 
@@ -107,11 +108,19 @@ def test_evolve_domain_checks():
         evolve_pointwise(ConstGen(), -0.5, 0.3)
 
 
-def test_step_underflow_is_reported():
+def test_step_underflow_is_reported(monkeypatch):
     with pytest.raises(StepSizeUnderflowError):
         evolve_pointwise(ConstGen(), 1.0, 0.5, tol=1e-300)
-    with pytest.raises(StepSizeUnderflowError):
-        evolve_pointwise(ConstGen(), 1.0, 0.5, tol=1e-12, max_steps=3)
+    monkeypatch.setattr(semigroup, "_MAX_STEPS", 3)
+    with pytest.raises(StepSizeUnderflowError, match="exceeded 3 steps"):
+        evolve_pointwise(ConstGen(), 1.0, 0.5, tol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [np.inf, 0.0, -1e-10, np.nan])
+def test_tolerance_must_be_positive_and_finite(tol):
+    # an infinite tolerance would accept any step, even one whose stage left the disk
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        evolve(ConstGen(), [5.0], [0.5], tol)
 
 
 # -- batched evolution --------------------------------------------------------
@@ -157,12 +166,13 @@ def test_evolve_zero_time_rows_are_exact_in_mixed_batch():
     assert evolve(HerglotzGenerator.uniform(), [0.0, 0.5], []).shape == (2, 0)
 
 
-def test_evolve_batch_reports_step_failures():
+def test_evolve_batch_reports_step_failures(monkeypatch):
     zs = ring_grid((0.3, 0.6), 4)
     with pytest.raises(StepSizeUnderflowError):
         evolve(ConstGen(), [0.5, 1.0], zs, tol=1e-300)
-    with pytest.raises(StepSizeUnderflowError):
-        evolve(ConstGen(), [0.5, 1.0], zs, tol=1e-12, max_steps=3)
+    monkeypatch.setattr(semigroup, "_MAX_STEPS", 3)
+    with pytest.raises(StepSizeUnderflowError, match="exceeded 3 steps"):
+        evolve(ConstGen(), [0.5, 1.0], zs, tol=1e-12)
 
 
 def test_evolve_batch_domain_checks():
@@ -234,19 +244,19 @@ def test_series_semigroup_law_matches_evolve(gen, s, t):
 def test_defect_vanishing_time():
     tol = 1e-10
     grid = [0.3, 0.5j, -0.2 + 0.4j]
-    assert semigroup_defect(ConstGen(), 0.0, 0.9, grid, tol) <= tol
+    assert semigroup_defect(ConstGen(), 0.0, 0.9, grid) <= tol
 
 
 def test_defect_linear_flow():
     tol = 1e-10
     grid = ring_grid((0.3, 0.6), 4)
-    assert semigroup_defect(ConstGen(), 0.4, 1.1, grid, tol) <= 10 * tol
+    assert semigroup_defect(ConstGen(), 0.4, 1.1, grid) <= 10 * tol
 
 
 def test_defect_yule():
     tol = 1e-10
     grid = ring_grid((0.3, 0.6), 4)
-    assert semigroup_defect(BranchingGenerator.yule(1.0, 2), 0.3, 0.3, grid, tol) <= 100 * tol
+    assert semigroup_defect(BranchingGenerator.yule(1.0, 2), 0.3, 0.3, grid) <= 100 * tol
 
 
 # -- first moment -------------------------------------------------------------
