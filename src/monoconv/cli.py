@@ -5,6 +5,10 @@ verify-ops.  Inputs are JSON files, outputs are JSON or CSV on stdout or
 at --out.  Identical invocations with identical seeds produce
 byte-identical output.
 
+:func:`main` parses with one parser, built when the module is imported and
+reused by every call in the process; :func:`build_parser` returns a fresh
+one.
+
 Exit codes: 0 success, 2 invalid input (malformed JSON, schema or
 validation errors), 3 mathematical domain errors, 4 numerical failures
 (step-size underflow, population overflow).
@@ -332,6 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# ``parse_args`` leaves a parser unchanged, so one parser serves every call
+# of :func:`main` in a process.
+_PARSER = build_parser()
+
+
 def _fail(code, kind, message):
     sys.stderr.write(json.dumps({"error": {"code": kind, "message": message}}) + "\n")
     return code
@@ -339,7 +348,7 @@ def _fail(code, kind, message):
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except DomainError as exc:
         return _fail(EXIT_DOMAIN, "domain-error", str(exc))

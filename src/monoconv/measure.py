@@ -221,10 +221,13 @@ def k_transform(mu: CircleMeasure, n: int | None = None) -> KTransform:
     """K-transform of ``mu`` through order ``n``: K = psi / (1 + psi).
 
     When ``n`` is omitted it defaults to 32, capped at the stored moment
-    count for moment-represented measures.
+    count for moment-represented measures.  An ``n`` below 1 is a
+    ``ValueError``.
     """
     if n is None:
         n = DEFAULT_ORDER if mu.is_atomic else min(DEFAULT_ORDER, mu.n_moments)
+    if n < 1:
+        raise ValueError(f"truncation order must be >= 1, got {n}")
     if mu.is_atomic:
         angles, _ = mu.atoms
         if angles.size == 1:  # exactly e^{i angle} z; psi / (1 + psi) leaves rounding

@@ -174,9 +174,10 @@ def flow_coefficients(gen, t: float, n: int = DEFAULT_ORDER) -> TruncatedSeries:
     powers of f fill a power table a column at a time as each f_m becomes
     known (column m for k >= 2 needs only f_1..f_{m-1}), so step m is one
     matrix-vector product and two dot products, with no composition.
+    Requires finite t >= 0.
     """
-    if t < 0:
-        raise DomainError("evolution time must be >= 0")
+    if not 0 <= t < np.inf:
+        raise DomainError("evolution time must be finite and >= 0")
     if n < 1:
         raise ValueError("need at least one coefficient")
     beta = complex(gen.beta)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from monoconv import cli
 from monoconv.cli import main
 
 
@@ -22,7 +23,10 @@ def two_point(tmp_path):
 
 
 def run(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -222,3 +226,41 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     rep = json.loads((tmp_path / "r.json").read_text())
     assert abs(rep["second_moment_xyx"] - (1 + 0.09 + 0.09)) < 1e-10
+
+
+def test_reused_parser_leaks_no_state_between_calls(tmp_path, capsys, monkeypatch, two_point):
+    gen = write(tmp_path, "gen.json", {"b": 0.2, "rho": [{"angle": 1.0, "weight": 0.5}]})
+    grid = write(tmp_path, "grid.json", [[0.3, 0.0], [0.0, 0.4]])
+    law = write(tmp_path, "law.json", {"p": [0.0, 0.5, 0.5]})
+    k = write(tmp_path, "k.json", {"series": [[0.0, 0.0], [0.5, 0.0]]})
+    gw = ["gw", law, "--n", "3", "--trials", "200", "--seed", "1"]
+    calls = [
+        ["evolve", gen, "--t", "0.5", "--z", "0.1", "--z", "0.2"],
+        ["evolve", gen, "--t", "0.5", "--grid", grid],
+        gw + ["--z", "0.4"],
+        gw,
+        ["convolve", two_point, two_point, "--bogus"],
+        ["convolve", two_point, two_point, "--order", "6"],
+        ["--help"],
+        ["embed", k],
+    ]
+    fresh = []
+    for argv in calls:
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_PARSER", cli.build_parser())
+            fresh.append(run(capsys, argv))
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    reused = [run(capsys, argv) for argv in calls]
+    assert len(builds) <= 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0, 0, 0]
+    # the grid call sees only its own points, not the earlier --z values
+    grid_rows = reused[1][1].strip().splitlines()[1:]
+    assert [tuple(float(x) for x in row.split(",")[1:3]) for row in grid_rows] == [(0.3, 0.0), (0.0, 0.4)]
+    # gw without --z falls back to its default sample points
+    gw_rows = reused[3][1].strip().splitlines()[1:]
+    assert [complex(row.split(",")[0]) for row in gw_rows] == [0.3, 0.5, 0.8]
+    assert reused[6][1].startswith("usage: monoconv") and reused[6][2] == ""

@@ -42,7 +42,7 @@ CASES = [
     ("convolve-no-moments", ["convolve", "{mu}", "{unit}"], {"mu": '{"moments": []}'}, 2),
     ("convolve-short-moments", ["convolve", "{mu}", "{unit}", "--order", "8"], {"mu": '{"moments": [[0.0, 0.0]]}'}, 3),
     ("convolve-order-0", ["convolve", "{unit}", "{unit}", "--order", "0"], {}, 2),
-    ("convolve-order-negative", ["convolve", "{unit}", "{unit}", "--order", "-3"], {}, 2),
+    ("convolve-order-negative", ["convolve", "{mu}", "{mu}", "--order", "-3"], {"mu": TWO_ATOMS}, 2),
     # evolve: generators, points, times and tolerance
     ("evolve-nan-rate", ["evolve", "{gen}", "--t", "1", "--z", "0.5"], {"gen": '{"rates": {"2": NaN}}'}, 2),
     ("evolve-inf-rate", ["evolve", "{gen}", "--t", "1", "--z", "0.5"], {"gen": '{"rates": {"2": Infinity}}'}, 2),
@@ -93,6 +93,7 @@ CASES = [
     ("embed-nan-atom", ["embed", "{k}"], {"k": '{"atoms": [{"angle": NaN, "weight": 1.0}]}'}, 2),
     ("embed-short-zero-moments", ["embed", "{k}", "--order", "16"], {"k": '{"moments": %s}' % json.dumps([[0, 0]] * 8)}, 3),
     ("embed-order-0-atoms", ["embed", "{unit}", "--order", "0"], {}, 2),
+    ("embed-order-negative", ["embed", "{k}", "--order", "-3"], {"k": TWO_ATOMS}, 2),
     # gw: offspring laws and sampling
     ("gw-nan-p", ["gw", "{law}", "--n", "2", "--trials", "10"], {"law": '{"p": [NaN, 1.0]}'}, 2),
     ("gw-inf-p", ["gw", "{law}", "--n", "2", "--trials", "10"], {"law": '{"p": [Infinity, 0.5]}'}, 2),

@@ -133,6 +133,17 @@ def test_k_transform_rejects_non_finite_coefficients(coeffs):
         KTransform.from_coefficients(coeffs)
 
 
+@pytest.mark.parametrize(
+    "mu",
+    [CircleMeasure.dirac(0.3), CircleMeasure.from_atoms([0.5, 2.0], [0.5, 0.5]), CircleMeasure.from_moments([0.1, 0.2])],
+    ids=["dirac", "two-atoms", "moments"],
+)
+@pytest.mark.parametrize("n", [0, -3])
+def test_k_transform_rejects_order_below_one(mu, n):
+    with pytest.raises(ValueError, match=f"^truncation order must be >= 1, got {n}$"):
+        k_transform(mu, n)
+
+
 def test_round_trip_random_atomic():
     rng = np.random.default_rng(21)
     for _ in range(25):

@@ -210,6 +210,34 @@ def test_flow_coefficients_need_nonzero_beta():
         flow_coefficients(HerglotzGenerator(), 1.0, 8)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_flow_coefficients_reject_non_finite_time(t):
+    with pytest.raises(DomainError, match="finite"):
+        flow_coefficients(HerglotzGenerator(0.3, [(0.5, 0.2)]), t, 4)
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [HerglotzGenerator(0.3, [(0.5, 0.2), (2.0, 0.5), (4.0, 0.3)]), BranchingGenerator.yule(1.0, 3)],
+    ids=["herglotz", "yule"],
+)
+@pytest.mark.parametrize("n, radius", [(32, 0.7), (64, 0.8)])
+def test_flow_coefficients_match_cauchy_fft_of_evolve(gen, n, radius):
+    # A third route: the trapezoidal Cauchy integral of K_t on |z| = r,
+    # taken by an FFT of batched ODE values at N = 2n nodes.  Coefficient k
+    # comes back as r^(-k) times (the aliased sum over m = k mod N of
+    # f_m r^m, plus the mean ODE error); with |f_m| <= 1 and the ODE within
+    # 100x its local tolerance, the error is below
+    # r^(-k) (100 tol + r^(k+N) / (1 - r^N)) (Bornemann, Found. Comput.
+    # Math. 11, 2011), on top of the recursion's 1e-12.
+    t, tol, nodes = 0.5, 1e-12, 2 * n
+    ring = ring_grid((radius,), nodes)
+    k = np.arange(1, n + 1)
+    fft = (np.fft.fft(evolve(gen, [t], ring, tol)[0]) / nodes)[1 : n + 1] / radius**k
+    bound = (100 * tol + radius ** (k + nodes) / (1 - radius**nodes)) / radius**k + 1e-12
+    assert np.all(np.abs(fft - flow_coefficients(gen, t, n).coeffs[1:]) <= bound)
+
+
 yule_generators = st.builds(BranchingGenerator.yule, st.floats(0.2, 2.0), st.sampled_from([2, 3, 4]))
 flow_generators = herglotz_generators | yule_generators
 
