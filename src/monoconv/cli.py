@@ -97,9 +97,12 @@ def _k_from_obj(obj, path, order):
     if "series" in obj:
         try:
             coeffs = [complex(re, im) for re, im in obj["series"]]
-            return KTransform(TruncatedSeries(coeffs))
+            k = KTransform(TruncatedSeries(coeffs))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{path}: invalid K-transform series: {exc}") from exc
+        if order < 1:  # the check k_transform makes for a measure
+            raise InputError(f"truncation order must be >= 1, got {order}")
+        return k
     if "atoms" in obj or "moments" in obj:
         return k_transform(_measure_from_obj(obj, path), order)
     raise InputError(f"{path}: expected 'series', 'atoms' or 'moments'")
@@ -128,6 +131,16 @@ def _parse_points(args):
         except ValueError as exc:
             raise InputError(f"cannot parse point {text!r}") from exc
     return pts
+
+
+def _parse_times(text):
+    times = []
+    for item in text.split(","):
+        try:
+            times.append(float(item))
+        except ValueError as exc:
+            raise InputError(f"--t: cannot parse time {item!r}") from exc
+    return times
 
 
 # -- serialization -----------------------------------------------------------
@@ -196,7 +209,7 @@ def _cmd_evolve(args):
     pts = _parse_points(args)
     if not pts:
         raise InputError("no evaluation points; pass --grid or --z")
-    times = [float(s) for s in args.t.split(",")]
+    times = _parse_times(args.t)
     yule = None
     if isinstance(gen, branching.BranchingGenerator) and len(gen.rates) == 1:
         j, lam = gen.rates[0]

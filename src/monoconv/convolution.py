@@ -2,7 +2,8 @@
 
 The convolution mu |> nu is the measure whose K-transform is the
 composition K_mu(K_nu(z)).  It is associative and affine in the first
-argument, but not commutative.
+argument, but not commutative; moments come back from K through
+(1 + psi)(1 - K) = 1, one series reciprocal per transform.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .measure import CircleMeasure, k_transform, moments_from_k
+from .measure import CircleMeasure, KTransform, k_transform, moments_from_k
 from .series import DEFAULT_ORDER
 
 __all__ = ["monotone_convolve", "affine_mixture_convolve"]
@@ -31,15 +32,13 @@ def affine_mixture_convolve(mu: CircleMeasure, nu: CircleMeasure, n: int = DEFAU
 
     Uses the affinity of the convolution in its first argument; ``mu`` must
     be atomic.  Serves as an independent cross-check of
-    :func:`monotone_convolve`.
+    :func:`monotone_convolve`, with no composition and one reciprocal per atom.
     """
     if not mu.is_atomic:
         raise DomainError("affine mixture requires an atomic first argument")
     angles, weights = mu.atoms
     k_nu = k_transform(nu, n).series
     total = np.zeros(n, dtype=np.complex128)
-    for theta, w in zip(angles, weights):
-        scaled = np.exp(1j * theta) * k_nu  # K of delta_x composed with K_nu
-        psi = scaled * (1 - scaled).reciprocal()
-        total += w * psi.coeffs[1:]
+    for theta, w in zip(angles, weights):  # delta_x |> nu has K = e^{i theta} K_nu
+        total += w * moments_from_k(KTransform(np.exp(1j * theta) * k_nu), n)
     return CircleMeasure.from_moments(total)

@@ -28,7 +28,7 @@ from ._util import TWO_PI, canonical_angle, ring_grid
 from .errors import DomainError
 from .generator import HerglotzGenerator
 from .measure import KTransform
-from .series import TruncatedSeries, _fill_power_columns
+from .series import TruncatedSeries, _power_table
 
 __all__ = ["EmbeddingVerdict", "embedding_test", "dirac_embedding", "DiracEmbedding", "default_grid"]
 
@@ -147,9 +147,7 @@ def _koenigs_series(k: KTransform) -> TruncatedSeries:
     c = k.series.coeffs
     n = k.order
     lam = c[1]
-    table = np.zeros((n + 1, n + 1), dtype=np.complex128)  # table[k, m] = [K^k]_m
-    table[1] = c
-    _fill_power_columns(table, 2, n + 1)
+    table = _power_table(c)  # table[k, m] = [K^k]_m
     h = np.zeros(n + 1, dtype=np.complex128)
     h[1] = 1.0
     for m in range(2, n + 1):

@@ -103,9 +103,8 @@ class HerglotzGenerator:
         """Taylor coefficients of u: u_0 = beta, u_m = 2 sum_j w_j e^{-i m angle_j}."""
         c = np.zeros(n + 1, dtype=np.complex128)
         c[0] = self.beta
-        if self._weights.size:
-            m = np.arange(1, n + 1)
-            c[1:] = 2.0 * np.exp(-1j * np.outer(m, self._angles)) @ self._cweights
+        m = np.arange(1, n + 1)
+        c[1:] = 2.0 * np.exp(-1j * np.outer(m, self._angles)) @ self._cweights
         return TruncatedSeries(c)
 
     def __repr__(self):

@@ -4,7 +4,8 @@ A measure is represented either by weighted atoms (angle, weight) or by a
 finite moment sequence m_k = integral of x^k.  The moment generating
 function psi(z) = sum_{k>=1} m_k z^k determines the K-transform
 K = psi / (1 + psi), a holomorphic self-map of the disk with K(0) = 0 that
-characterizes the measure completely.
+characterizes the measure completely.  Since (1 + psi)(1 - K) = 1, each
+conversion between the two is one series reciprocal.
 
 A :class:`KTransform` is its truncated Taylor series and nothing else, so
 a transform of order N determines the moments m_1..m_N and no more.
@@ -19,7 +20,7 @@ import numpy as np
 
 from ._util import TWO_PI, canonical_angle, ring_grid, toeplitz_from_moments
 from .errors import DomainError
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import DEFAULT_ORDER, TruncatedSeries, horner
 
 _WEIGHT_TOL = 1e-12
 _MOMENT_TOL = 1e-9
@@ -218,7 +219,7 @@ class KTransform:
 
 
 def k_transform(mu: CircleMeasure, n: int | None = None) -> KTransform:
-    """K-transform of ``mu`` through order ``n``: K = psi / (1 + psi).
+    """K-transform of ``mu`` through order ``n``: K = 1 - 1/(1 + psi).
 
     When ``n`` is omitted it defaults to 32, capped at the stored moment
     count for moment-represented measures.  An ``n`` below 1 is a
@@ -230,24 +231,21 @@ def k_transform(mu: CircleMeasure, n: int | None = None) -> KTransform:
         raise ValueError(f"truncation order must be >= 1, got {n}")
     if mu.is_atomic:
         angles, _ = mu.atoms
-        if angles.size == 1:  # exactly e^{i angle} z; psi / (1 + psi) leaves rounding
+        if angles.size == 1:  # exactly e^{i angle} z; 1 - 1/(1 + psi) leaves rounding
             return KTransform.dirac(angles[0], n)
-    psi = mu.psi_series(n)
-    return KTransform(psi * (1 + psi).reciprocal())
+    return KTransform(1 - (1 + mu.psi_series(n)).reciprocal())
 
 
 def moments_from_k(k: KTransform, n: int = DEFAULT_ORDER) -> np.ndarray:
     """Moments m_1..m_n of the measure with K-transform ``k``.
 
-    Inverts K = psi/(1+psi) as psi = K/(1-K) and reads the coefficients.
+    Inverts K = psi/(1+psi) as 1 + psi = 1/(1-K) and reads the coefficients.
     """
     if k.series.order < n:
         raise DomainError(
             f"K-transform series has order {k.series.order}, cannot produce {n} moments"
         )
-    ks = k.series.truncate(n)
-    psi = ks * (1 - ks).reciprocal()
-    return psi.coeffs[1:].copy()
+    return (1 - k.series.truncate(n)).reciprocal().coeffs[1:].copy()
 
 
 @dataclass(frozen=True)
@@ -322,8 +320,6 @@ def poisson_density(mu: CircleMeasure, r: float, grid_size: int) -> np.ndarray:
             n *= 2
     else:
         n = mu.n_moments
-    m = mu.moments(n)
-    kk = np.arange(1, n + 1)
-    theta = TWO_PI * np.arange(grid_size) / grid_size
-    phases = np.exp(-1j * np.outer(theta, kk))
-    return 1.0 + 2.0 * np.real(phases @ (m * r**kk))
+    coeffs = np.concatenate(([0.0], mu.moments(n)))
+    z = r * np.exp(-1j * TWO_PI * np.arange(grid_size) / grid_size)
+    return 1.0 + 2.0 * np.real(horner(coeffs, z))

@@ -16,7 +16,7 @@ g^k = O(z^k), and column m of g^k = g^(k-1) g needs only g_1..g_(m-1) and
 the columns before m.  Filling it a column at a time costs about n^3/3
 multiply-adds at order n, one matrix-vector product per column, and lets
 :func:`~monoconv.semigroup.flow_coefficients` fill the same table while
-it is still solving for g.
+it is still solving for g; :func:`_power_table` builds it for a known g.
 
 :func:`horner` is the one polynomial evaluator of the package, for
 series, K-transforms and offspring generating functions alike.
@@ -62,6 +62,15 @@ def _fill_power_columns(table: np.ndarray, start: int, stop: int) -> None:
     for m in range(start, stop):
         # a contiguous copy of g_(m-1)..g_1 keeps the product in BLAS
         table[2 : m + 1, m] = table[1:m, 1:m] @ table[1, m - 1 : 0 : -1].copy()
+
+
+def _power_table(g: np.ndarray) -> np.ndarray:
+    """The power table P[k, m] = [g^k]_m, k, m = 0..N, of g_0..g_N with g_0 = 0."""
+    table = np.zeros((g.size, g.size), dtype=np.complex128)
+    table[0, 0] = 1.0
+    table[1:2] = g  # no row 1 at order 0
+    _fill_power_columns(table, 2, g.size)
+    return table
 
 
 class TruncatedSeries:
@@ -158,7 +167,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse through order N; requires c_0 != 0."""
+        """Multiplicative inverse through order N, the one series division; needs c_0 != 0."""
         a = self._c
         if a[0] == 0:
             raise DomainError("reciprocal of a series with zero constant term")
@@ -187,11 +196,7 @@ class TruncatedSeries:
         if inner._c[0] != 0:
             raise DomainError("inner series of a composition must have zero constant term")
         n = min(self.order, inner.order)
-        table = np.zeros((n + 1, n + 1), dtype=np.complex128)
-        table[0, 0] = 1.0
-        table[1:2] = inner._c[: n + 1]  # no row 1 at order 0
-        _fill_power_columns(table, 2, n + 1)
-        return TruncatedSeries(self._c[: n + 1] @ table)
+        return TruncatedSeries(self._c[: n + 1] @ _power_table(inner._c[: n + 1]))
 
     # -- evaluation --------------------------------------------------------
 

@@ -144,6 +144,23 @@ def test_evolve_negative_time_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "domain-error"
 
 
+@pytest.mark.parametrize("times, item", [("abc", "abc"), ("1,,2", ""), ("", "")])
+def test_evolve_bad_time_names_the_option(tmp_path, capsys, times, item):
+    gen = write(tmp_path, "gen.json", {"b": 0.5})
+    code, out, err = run(capsys, ["evolve", gen, f"--t={times}", "--z", "0.3"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == f"--t: cannot parse time {item!r}"
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_embed_rejects_order_below_one_for_every_input(tmp_path, capsys, two_point, order):
+    series = write(tmp_path, "k.json", {"series": [[0.0, 0.0], [0.5, 0.0]]})
+    for path in (series, two_point):
+        code, out, err = run(capsys, ["embed", path, "--order", str(order)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == f"truncation order must be >= 1, got {order}"
+
+
 def test_embed_scaling(tmp_path, capsys):
     k = write(tmp_path, "k.json", {"series": [[0.0, 0.0], [0.5, 0.0]]})
     code, out, _ = run(capsys, ["embed", k])

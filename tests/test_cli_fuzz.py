@@ -67,6 +67,8 @@ CASES = [
     ("evolve-nan-time", ["evolve", "{gen}", "--t", "nan", "--z", "0.5"], {"gen": GEN}, 3),
     ("evolve-inf-time", ["evolve", "{gen}", "--t", "inf", "--z", "0.5"], {"gen": GEN}, 3),
     ("evolve-empty-time", ["evolve", "{gen}", "--t=", "--z", "0.5"], {"gen": GEN}, 2),
+    ("evolve-text-time", ["evolve", "{gen}", "--t", "abc", "--z", "0.3"], {"gen": GEN}, 2),
+    ("evolve-empty-time-item", ["evolve", "{gen}", "--t", "1,,2", "--z", "0.3"], {"gen": GEN}, 2),
     ("evolve-zero-tol", ["evolve", "{gen}", "--t", "1", "--z", "0.5", "--tol", "0"], {"gen": GEN}, 2),
     ("evolve-nan-tol", ["evolve", "{gen}", "--t", "1", "--z", "0.5", "--tol", "nan"], {"gen": GEN}, 2),
     ("evolve-inf-tol", ["evolve", "{gen}", "--t", "5", "--z", "0.5", "--tol", "inf"], {"gen": GEN}, 2),
@@ -94,6 +96,8 @@ CASES = [
     ("embed-short-zero-moments", ["embed", "{k}", "--order", "16"], {"k": '{"moments": %s}' % json.dumps([[0, 0]] * 8)}, 3),
     ("embed-order-0-atoms", ["embed", "{unit}", "--order", "0"], {}, 2),
     ("embed-order-negative", ["embed", "{k}", "--order", "-3"], {"k": TWO_ATOMS}, 2),
+    ("embed-order-negative-series", ["embed", "{k}", "--order", "-3"], {"k": '{"series": [[0, 0], [0.5, 0]]}'}, 2),
+    ("embed-order-0-series-input", ["embed", "{k}", "--order", "0"], {"k": '{"series": [[0, 0], [0.5, 0]]}'}, 2),
     # gw: offspring laws and sampling
     ("gw-nan-p", ["gw", "{law}", "--n", "2", "--trials", "10"], {"law": '{"p": [NaN, 1.0]}'}, 2),
     ("gw-inf-p", ["gw", "{law}", "--n", "2", "--trials", "10"], {"law": '{"p": [Infinity, 0.5]}'}, 2),

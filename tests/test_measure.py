@@ -13,8 +13,8 @@ from monoconv.measure import (
 from monoconv.series import TruncatedSeries
 
 
-def rand_atomic(rng, max_atoms=8):
-    n = int(rng.integers(1, max_atoms + 1))
+def rand_atomic(rng, max_atoms=8, min_atoms=1):
+    n = int(rng.integers(min_atoms, max_atoms + 1))
     angles = rng.uniform(0, 2 * np.pi, n)
     w = rng.dirichlet(np.ones(n))
     return CircleMeasure.from_atoms(angles, w)
@@ -145,12 +145,22 @@ def test_k_transform_rejects_order_below_one(mu, n):
 
 
 def test_round_trip_random_atomic():
+    # each direction is one reciprocal, through (1 + psi)(1 - K) = 1, so the
+    # round-trip error grows about linearly in the order
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(21)
-    for _ in range(25):
-        mu = rand_atomic(rng)
-        n = 24
+    orders = (24, 64, 128, 256)
+    for n in orders:
+        for _ in range(25):
+            mu = rand_atomic(rng, max_atoms=5, min_atoms=2)
+            m = moments_from_k(k_transform(mu, n), n)
+            assert np.max(np.abs(m - mu.moments(n))) < n * eps
+    # a point mass skips psi -> K; its reference moments e^{ik angle} carry
+    # the rounding of k * angle, up to about 2 n eps
+    for n in orders:
+        mu = CircleMeasure.dirac(rng.uniform(0, 2 * np.pi))
         m = moments_from_k(k_transform(mu, n), n)
-        assert np.max(np.abs(m - mu.moments(n))) < 1e-12
+        assert np.max(np.abs(m - mu.moments(n))) < 3 * n * eps
 
 
 # -- validation --------------------------------------------------------------
@@ -199,6 +209,17 @@ def test_poisson_two_peaks():
     assert np.argmax(p) in (0, 128)
     assert abs(p[0] - p[128]) < 1e-9  # symmetry
     assert abs(np.mean(p) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("r", [0.5, 0.9, 0.99])
+def test_poisson_density_matches_closed_form_kernel(r):
+    angles = np.array([0.3, 2.0, 4.5])
+    weights = np.array([0.5, 0.3, 0.2])
+    grid_size = 1024
+    theta = 2 * np.pi * np.arange(grid_size) / grid_size
+    kernel = (1 - r**2) / (1 - 2 * r * np.cos(theta[:, None] - angles) + r**2)
+    p = poisson_density(CircleMeasure.from_atoms(angles, weights), r, grid_size)
+    assert np.max(np.abs(p - kernel @ weights)) < 2e-9  # tail target 1e-9
 
 
 def test_poisson_radius_domain():

@@ -4,7 +4,9 @@
 as an attribute of ``monoconv.mod``, ``mod.Class.method`` as an entry of
 the class's own ``__dict__``.  A refactor that moves or renames one of
 them would otherwise show up only as a failed benchmark run.  The cfree
-sweep must also pass through its two per-word boundaries once per word.
+sweep must also pass through its two per-word boundaries once per word,
+and every conversion between moments and K-transform through the one
+series division, ``TruncatedSeries.reciprocal``.
 """
 
 import importlib
@@ -16,6 +18,9 @@ from pathlib import Path
 import pytest
 
 from monoconv import cfree
+from monoconv.convolution import affine_mixture_convolve
+from monoconv.measure import CircleMeasure, k_transform, moments_from_k
+from monoconv.series import TruncatedSeries
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -57,3 +62,31 @@ def test_sweep_calls_each_per_word_boundary_once_per_word(monkeypatch):
     defect, count = cfree.monotone_specialization_defect(phi1, phi2, max_len=6, max_power=3)
     assert (defect, count) == (0, 2184)
     assert calls == {"eval": 2184, "monotone_eval": 2184}
+
+
+def test_conversions_divide_once_through_reciprocal(monkeypatch):
+    # (1 + psi)(1 - K) = 1: each conversion is one reciprocal and no product
+    # of two series, and the traced reciprocal boundary sees every one
+    calls = {"reciprocal": 0, "series_product": 0}
+    reciprocal, mul = TruncatedSeries.reciprocal, TruncatedSeries.__mul__
+
+    def counted_reciprocal(self):
+        calls["reciprocal"] += 1
+        return reciprocal(self)
+
+    def counted_mul(self, other):
+        calls["series_product"] += isinstance(other, TruncatedSeries)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "reciprocal", counted_reciprocal)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(TruncatedSeries, "__rmul__", counted_mul)
+    mu = CircleMeasure.from_atoms([0.5, 2.0, 4.0], [0.5, 0.3, 0.2])
+    nu = CircleMeasure.from_atoms([1.0, 3.0], [0.6, 0.4])
+
+    k = k_transform(nu, 16)
+    assert calls == {"reciprocal": 1, "series_product": 0}
+    moments_from_k(k, 16)
+    assert calls == {"reciprocal": 2, "series_product": 0}
+    affine_mixture_convolve(mu, nu, 16)  # one for K_nu, then one per atom of mu
+    assert calls == {"reciprocal": 2 + 1 + 3, "series_product": 0}
