@@ -125,12 +125,15 @@ def _parse_points(args):
             pts.extend(complex(re, im) for re, im in data)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{args.grid}: expected a list of [re, im] pairs") from exc
-    for text in args.z or []:
-        try:
-            pts.append(complex(text))
-        except ValueError as exc:
-            raise InputError(f"cannot parse point {text!r}") from exc
+    pts.extend(_parse_point(text) for text in args.z or [])
     return pts
+
+
+def _parse_point(text):
+    try:
+        return complex(text)
+    except ValueError as exc:
+        raise InputError(f"--z: cannot parse point {text!r}") from exc
 
 
 def _parse_times(text):
@@ -238,7 +241,7 @@ def _cmd_embed(args):
 
 def _cmd_gw(args):
     law = _law_from_obj(_load_json(args.law), args.law)
-    zs = [complex(s) for s in (args.z or ["0.3", "0.5", "0.8"])]
+    zs = [_parse_point(text) for text in args.z or ["0.3", "0.5", "0.8"]]
     sim = branching.simulate_gw(law, args.n, args.trials, zs, args.seed)
     rows = [
         (z, m.real, m.imag, e, th.real, th.imag)
@@ -362,6 +365,8 @@ def _fail(code, kind, message):
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # numpy's own message names no option
+            raise InputError(f"--seed: must be >= 0, got {args.seed}")
         return args.func(args)
     except DomainError as exc:
         return _fail(EXIT_DOMAIN, "domain-error", str(exc))

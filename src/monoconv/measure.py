@@ -210,10 +210,6 @@ class KTransform:
     def derivative_at_zero(self) -> complex:
         return self.series[1]
 
-    def compose(self, other: "KTransform") -> "KTransform":
-        """The K-transform z -> self(other(z))."""
-        return KTransform(self.series.compose(other.series))
-
 
 # -- transforms ------------------------------------------------------------
 

@@ -11,7 +11,10 @@ re-deriving psi tails, phi values and merges (full polynomial products) at
 each state; the interned evaluator must agree with it exactly.
 ``iterated_generator`` reaches u/u(0) without the Koenigs function: it
 iterates -K^n/(K^n)' to a Cauchy tolerance and takes u(0) by Richardson
-extrapolation over the two inner grid rings.
+extrapolation over the two inner grid rings.  ``k_route_convolve`` is the
+convolution by its defining identity K_{mu |> nu} = K_mu o K_nu, with both
+K-transforms and the conversion back to moments, where
+:func:`monoconv.convolution.monotone_convolve` composes psi_mu with K_nu.
 """
 
 from itertools import groupby
@@ -20,6 +23,7 @@ import numpy as np
 
 from monoconv.cfree import _tail
 from monoconv.embedding import default_grid
+from monoconv.measure import KTransform, k_transform, moments_from_k
 from monoconv.series import TruncatedSeries
 
 
@@ -32,6 +36,12 @@ def horner_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     for ck in outer.coeffs[n::-1]:
         acc = acc * g + ck
     return acc
+
+
+def k_route_convolve(mu, nu, n: int) -> np.ndarray:
+    """Moments m_1..m_n of mu |> nu from K_mu o K_nu: three reciprocals."""
+    k = k_transform(mu, n).series.compose(k_transform(nu, n).series)
+    return moments_from_k(KTransform(k), n)
 
 
 def vector_field(gen, n: int) -> TruncatedSeries:

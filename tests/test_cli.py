@@ -154,9 +154,13 @@ def test_evolve_bad_time_names_the_option(tmp_path, capsys, times, item):
 
 @pytest.mark.parametrize("order", [0, -3])
 def test_embed_rejects_order_below_one_for_every_input(tmp_path, capsys, two_point, order):
+    # convolve checks the order before it reads any moment of either measure
     series = write(tmp_path, "k.json", {"series": [[0.0, 0.0], [0.5, 0.0]]})
-    for path in (series, two_point):
-        code, out, err = run(capsys, ["embed", path, "--order", str(order)])
+    moments = write(tmp_path, "m.json", {"moments": [[0.5, 0.0], [0.25, 0.0]]})
+    commands = [["embed", path] for path in (series, two_point, moments)]
+    commands += [["convolve", mu, nu] for mu in (two_point, moments) for nu in (two_point, moments)]
+    for argv in commands:
+        code, out, err = run(capsys, argv + ["--order", str(order)])
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["message"] == f"truncation order must be >= 1, got {order}"
 

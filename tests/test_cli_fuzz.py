@@ -6,7 +6,7 @@ value, an unknown or missing option, a missing or unknown subcommand).
 Each case names the files it needs as raw JSON text, so malformed JSON,
 NaN, Infinity and integers too large for a float reach the parser as a
 user would write them.  ``{name}`` in the arguments is replaced by the
-path of that file.
+path of that file.  A case may end with the exact message it must print.
 """
 
 import json
@@ -60,7 +60,7 @@ CASES = [
     ("evolve-top-null", ["evolve", "{gen}", "--t", "1", "--z", "0.5"], {"gen": "null"}, 2),
     ("evolve-no-keys", ["evolve", "{gen}", "--t", "1", "--z", "0.5"], {"gen": "{}"}, 2),
     ("evolve-no-points", ["evolve", "{gen}", "--t", "1"], {"gen": GEN}, 2),
-    ("evolve-text-point", ["evolve", "{gen}", "--t", "1", "--z", "abc"], {"gen": GEN}, 2),
+    ("evolve-text-point", ["evolve", "{gen}", "--t", "1", "--z", "abc"], {"gen": GEN}, 2, "--z: cannot parse point 'abc'"),
     ("evolve-point-outside", ["evolve", "{gen}", "--t", "1", "--z", "1.5"], {"gen": GEN}, 3),
     ("evolve-nan-point", ["evolve", "{gen}", "--t", "1", "--z", "nan"], {"gen": GEN}, 3),
     ("evolve-negative-time", ["evolve", "{gen}", "--t=-1", "--z", "0.5"], {"gen": GEN}, 3),
@@ -113,10 +113,11 @@ CASES = [
     ("gw-no-keys", ["gw", "{law}", "--n", "2", "--trials", "10"], {"law": "{}"}, 2),
     ("gw-zero-trials", ["gw", "{law}", "--n", "2", "--trials", "0"], {"law": LAW}, 2),
     ("gw-negative-steps", ["gw", "{law}", "--n", "-1", "--trials", "10"], {"law": LAW}, 2),
-    ("gw-negative-seed", ["gw", "{law}", "--n", "2", "--trials", "10", "--seed", "-1"], {"law": LAW}, 2),
+    ("gw-negative-seed", ["gw", "{law}", "--n", "2", "--trials", "10", "--seed", "-1"], {"law": LAW}, 2, "--seed: must be >= 0, got -1"),
     ("gw-point-outside", ["gw", "{law}", "--n", "2", "--trials", "10", "--z", "2"], {"law": LAW}, 3),
     ("gw-nan-point", ["gw", "{law}", "--n", "2", "--trials", "10", "--z", "nan"], {"law": LAW}, 3),
     ("gw-text-point", ["gw", "{law}", "--n", "2", "--trials", "10", "--z", "abc"], {"law": LAW}, 2),
+    ("gw-z-malformed", ["gw", "{law}", "--n", "2", "--trials", "10", "--z", "0.3+"], {"law": LAW}, 2, "--z: cannot parse point '0.3+'"),
     ("gw-overflow", ["gw", "{law}", "--n", "20", "--trials", "10"], {"law": '{"p": [0, 0, 0, 0, 1.0]}'}, 4),
     # counterexample, cfree-check and verify-ops: numbers out of range
     ("counterexample-nan", ["counterexample", "--a", "nan", "--b", "0.5"], {}, 3),
@@ -126,12 +127,12 @@ CASES = [
     ("cfree-check-len-0", ["cfree-check", "--max-len", "0"], {}, 2),
     ("cfree-check-len-negative", ["cfree-check", "--max-len", "-2"], {}, 2),
     ("cfree-check-power-0", ["cfree-check", "--max-len", "2", "--max-power", "0"], {}, 2),
-    ("cfree-check-negative-seed", ["cfree-check", "--max-len", "2", "--seed", "-1"], {}, 2),
+    ("cfree-check-negative-seed", ["cfree-check", "--max-len", "2", "--seed", "-1"], {}, 2, "--seed: must be >= 0, got -1"),
     ("cfree-check-len-above-cap", ["cfree-check", "--max-len", "17", "--max-power", "2"], {}, 3),
     ("cfree-check-len-huge", ["cfree-check", "--max-len", "1000000"], {}, 3),
     ("verify-ops-cases-0", ["verify-ops", "--cases", "0"], {}, 2),
     ("verify-ops-cases-negative", ["verify-ops", "--cases", "-1"], {}, 2),
-    ("verify-ops-negative-seed", ["verify-ops", "--cases", "1", "--seed", "-1"], {}, 2),
+    ("verify-ops-negative-seed", ["verify-ops", "--cases", "1", "--seed", "-1"], {}, 2, "--seed: must be >= 0, got -1"),
     # arguments argparse rejects: bad option values, unknown and missing options
     ("verify-ops-cases-text", ["verify-ops", "--cases", "abc"], {}, 2),
     ("verify-ops-unknown-option", ["verify-ops", "--bogus"], {}, 2),
@@ -154,15 +155,19 @@ def test_cases_cover_every_subcommand():
     from monoconv.cli import build_parser
 
     subparsers = next(a for a in build_parser()._actions if a.dest == "command")
-    assert {argv[0] for _, argv, _, _ in CASES} == set(subparsers.choices)
+    assert {argv[0] for _, argv, *_ in CASES} == set(subparsers.choices)
+
+
+def _params(name, argv, files, code, message=None):
+    return argv, files, code, message
 
 
 @pytest.mark.parametrize(
-    "argv, files, code",
-    [c[1:] for c in CASES + TOP_LEVEL_CASES],
+    "argv, files, code, message",
+    [_params(*c) for c in CASES + TOP_LEVEL_CASES],
     ids=[c[0] for c in CASES + TOP_LEVEL_CASES],
 )
-def test_bad_input_gives_one_json_error_line(tmp_path, capsys, argv, files, code):
+def test_bad_input_gives_one_json_error_line(tmp_path, capsys, argv, files, code, message):
     paths = {"unit": tmp_path / "unit.json"}
     paths["unit"].write_text(UNIT)
     for name, text in files.items():
@@ -179,6 +184,7 @@ def test_bad_input_gives_one_json_error_line(tmp_path, capsys, argv, files, code
     error = json.loads(err)["error"]
     assert set(error) == {"code", "message"}
     assert error["code"] == {2: "invalid-input", 3: "domain-error", 4: "numeric-failure"}[code]
+    assert message is None or error["message"] == message
     assert caught == []  # a warning would print a second stderr line
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import k_route_convolve
 
 from monoconv.convolution import affine_mixture_convolve, monotone_convolve
 from monoconv.measure import CircleMeasure, k_transform, validate_k
@@ -73,6 +74,25 @@ def test_associativity_property(lam, mu, nu):
 def test_convolution_output_is_a_valid_k_transform(mu, nu):
     n = 32
     assert validate_k(k_transform(monotone_convolve(mu, nu, n), n)).all_ok
+
+
+def _poisson_smoothed(measure, r):
+    # moments r^k m_k: the measure seen through the Poisson kernel at radius r
+    return CircleMeasure.from_moments(measure.moments(256) * r ** np.arange(1, 257))
+
+
+one_to_five_atoms = st.lists(
+    st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.05, 1.0)), min_size=1, max_size=5
+).map(_normalized)
+left_measures = one_to_five_atoms | st.builds(_poisson_smoothed, one_to_five_atoms, st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=left_measures, nu=one_to_five_atoms, n=st.sampled_from([16, 64, 128, 256]))
+def test_psi_route_matches_k_composition(mu, nu, n):
+    # psi_mu o K_nu against K_mu o K_nu converted back to moments
+    got = monotone_convolve(mu, nu, n).moments(n)
+    assert np.max(np.abs(got - k_route_convolve(mu, nu, n))) <= 1e-12
 
 
 def test_noncommutativity_witness():

@@ -6,7 +6,8 @@ the class's own ``__dict__``.  A refactor that moves or renames one of
 them would otherwise show up only as a failed benchmark run.  The cfree
 sweep must also pass through its two per-word boundaries once per word,
 and every conversion between moments and K-transform through the one
-series division, ``TruncatedSeries.reciprocal``.
+series division, ``TruncatedSeries.reciprocal``; a convolution is one such
+conversion and one composition.
 """
 
 import importlib
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from monoconv import cfree
-from monoconv.convolution import affine_mixture_convolve
+from monoconv.convolution import affine_mixture_convolve, monotone_convolve
 from monoconv.measure import CircleMeasure, k_transform, moments_from_k
 from monoconv.series import TruncatedSeries
 
@@ -67,26 +68,33 @@ def test_sweep_calls_each_per_word_boundary_once_per_word(monkeypatch):
 def test_conversions_divide_once_through_reciprocal(monkeypatch):
     # (1 + psi)(1 - K) = 1: each conversion is one reciprocal and no product
     # of two series, and the traced reciprocal boundary sees every one
-    calls = {"reciprocal": 0, "series_product": 0}
-    reciprocal, mul = TruncatedSeries.reciprocal, TruncatedSeries.__mul__
+    calls = {"reciprocal": 0, "compose": 0, "series_product": 0}
+    reciprocal, compose, mul = TruncatedSeries.reciprocal, TruncatedSeries.compose, TruncatedSeries.__mul__
 
     def counted_reciprocal(self):
         calls["reciprocal"] += 1
         return reciprocal(self)
+
+    def counted_compose(self, inner):
+        calls["compose"] += 1
+        return compose(self, inner)
 
     def counted_mul(self, other):
         calls["series_product"] += isinstance(other, TruncatedSeries)
         return mul(self, other)
 
     monkeypatch.setattr(TruncatedSeries, "reciprocal", counted_reciprocal)
+    monkeypatch.setattr(TruncatedSeries, "compose", counted_compose)
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
     monkeypatch.setattr(TruncatedSeries, "__rmul__", counted_mul)
     mu = CircleMeasure.from_atoms([0.5, 2.0, 4.0], [0.5, 0.3, 0.2])
     nu = CircleMeasure.from_atoms([1.0, 3.0], [0.6, 0.4])
 
     k = k_transform(nu, 16)
-    assert calls == {"reciprocal": 1, "series_product": 0}
+    assert calls == {"reciprocal": 1, "compose": 0, "series_product": 0}
     moments_from_k(k, 16)
-    assert calls == {"reciprocal": 2, "series_product": 0}
+    assert calls == {"reciprocal": 2, "compose": 0, "series_product": 0}
     affine_mixture_convolve(mu, nu, 16)  # one for K_nu, then one per atom of mu
-    assert calls == {"reciprocal": 2 + 1 + 3, "series_product": 0}
+    assert calls == {"reciprocal": 2 + 1 + 3, "compose": 0, "series_product": 0}
+    monotone_convolve(mu, nu, 16)  # psi_mu o K_nu: one for K_nu, one composition
+    assert calls == {"reciprocal": 6 + 1, "compose": 1, "series_product": 0}
