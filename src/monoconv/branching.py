@@ -73,7 +73,7 @@ class BranchingGenerator:
     rate families by other means.
     """
 
-    __slots__ = ("_rates",)
+    __slots__ = ("_rates", "_alpha")
 
     def __init__(self, rates):
         """``rates`` maps offspring count j >= 2 to lambda_j >= 0."""
@@ -84,6 +84,7 @@ class BranchingGenerator:
             if not 0 <= lam < np.inf:
                 raise ValueError("branching rates must be finite and nonnegative")
         self._rates = tuple(items)
+        self._alpha = float(sum(lam for _, lam in items))  # summed once, off the RHS path
 
     @classmethod
     def yule(cls, alpha: float, k: int) -> "BranchingGenerator":
@@ -98,7 +99,7 @@ class BranchingGenerator:
 
     @property
     def alpha(self) -> float:
-        return float(sum(lam for _, lam in self._rates))
+        return self._alpha
 
     @property
     def beta(self) -> complex:
@@ -109,7 +110,7 @@ class BranchingGenerator:
         z = np.asarray(z, dtype=complex)
         if (np.abs(z) >= 1.0).any():
             raise DomainError("generator is defined on the open unit disk")
-        val = np.full_like(z, self.alpha)
+        val = np.full_like(z, self._alpha)
         for j, lam in self._rates:
             val = val - lam * z ** (j - 1)
         return val if val.ndim else complex(val)

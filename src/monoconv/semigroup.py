@@ -11,12 +11,14 @@ f'(0) = e^{-t beta}, beta = u(0).  :func:`flow_coefficients` fills the
 power table [f^k]_m of :mod:`monoconv.series` one column at a time as each
 f_m becomes known, so it makes no composition at all.
 
-:func:`evolve` is the one integrator entry point: a Dormand-Prince 5(4)
-loop over a whole array of points, which steps once through the sorted
-distinct times of the call and records the values at each of them.  All
-points share the step, and a step is accepted only when every point meets
-the local error test, so a value depends on the other points of the same
-call at the level of the tolerance (identical calls give identical values).
+:func:`evolve` is the one integrator entry point: a DOP853 loop (the
+8th-order Dormand-Prince pair with 5th- and 3rd-order error estimates,
+12 right-hand-side calls per step) over a whole array of points, which
+steps once through the sorted distinct times of the call and records the
+values at each of them.  All points share the step, and a step is
+accepted only when every point meets the local error test, so a value
+depends on the other points of the same call at the level of the
+tolerance (identical calls give identical values).
 :func:`first_moment_law`, :func:`semigroup_defect` and
 :func:`evolve_pointwise` (one time, one point) are thin callers of it.
 
@@ -42,47 +44,137 @@ __all__ = [
 ]
 
 
-# Dormand-Prince 5(4) embedded pair as a 7x7 stage matrix.  Row 6 is the
-# 5th-order solution, so the last stage is evaluated at the new value and
-# reused as the first stage of the next step (first same as last); _DP_E
-# is the difference to the 4th-order row, the local error estimate.
-_DP_A = np.zeros((7, 7))
-_DP_A[1, :1] = [1 / 5]
-_DP_A[2, :2] = [3 / 40, 9 / 40]
-_DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
-_DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
-_DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
-_DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_DP_E = (_DP_A[6] - _DP_B4).astype(complex)
+# The Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving
+# ODEs I, sec. II.10) as a 13x13 stage matrix: rows 1-11 are the stages and
+# row 12 is the 8th-order solution, so the last stage is evaluated at the new
+# value and reused as the first stage of the next step (first same as last).
+# _DP_E5 and _DP_E3 give the differences to the embedded 5th- and 3rd-order
+# solutions, the two local error estimates; the slope at the new value has
+# weight 0 in both.
+_DP_A = np.zeros((13, 13))
+_DP_A[1, 0] = 5.26001519587677318785587544488e-2
+_DP_A[2, :2] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
+_DP_A[3, [0, 2]] = [2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2]
+_DP_A[4, [0, 2, 3]] = [
+    2.41365134159266685502369798665e-1,
+    -8.84549479328286085344864962717e-1,
+    9.24834003261792003115737966543e-1,
+]
+_DP_A[5, [0, 3, 4]] = [
+    3.7037037037037037037037037037e-2,
+    1.70828608729473871279604482173e-1,
+    1.25467687566822425016691814123e-1,
+]
+_DP_A[6, [0, 3, 4, 5]] = [
+    3.7109375e-2,
+    1.70252211019544039314978060272e-1,
+    6.02165389804559606850219397283e-2,
+    -1.7578125e-2,
+]
+_DP_A[7, [0, 3, 4, 5, 6]] = [
+    3.70920001185047927108779319836e-2,
+    1.70383925712239993810214054705e-1,
+    1.07262030446373284651809199168e-1,
+    -1.53194377486244017527936158236e-2,
+    8.27378916381402288758473766002e-3,
+]
+_DP_A[8, [0, 3, 4, 5, 6, 7]] = [
+    6.24110958716075717114429577812e-1,
+    -3.36089262944694129406857109825,
+    -8.68219346841726006818189891453e-1,
+    2.75920996994467083049415600797e1,
+    2.01540675504778934086186788979e1,
+    -4.34898841810699588477366255144e1,
+]
+_DP_A[9, [0, 3, 4, 5, 6, 7, 8]] = [
+    4.77662536438264365890433908527e-1,
+    -2.48811461997166764192642586468,
+    -5.90290826836842996371446475743e-1,
+    2.12300514481811942347288949897e1,
+    1.52792336328824235832596922938e1,
+    -3.32882109689848629194453265587e1,
+    -2.03312017085086261358222928593e-2,
+]
+_DP_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = [
+    -9.3714243008598732571704021658e-1,
+    5.18637242884406370830023853209,
+    1.09143734899672957818500254654,
+    -8.14978701074692612513997267357,
+    -1.85200656599969598641566180701e1,
+    2.27394870993505042818970056734e1,
+    2.49360555267965238987089396762,
+    -3.0467644718982195003823669022,
+]
+_DP_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [
+    2.27331014751653820792359768449,
+    -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444,
+    -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1,
+    -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258,
+    1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1,
+]
+_DP_A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = [
+    5.42937341165687622380535766363e-2,
+    4.45031289275240888144113950566,
+    1.89151789931450038304281599044,
+    -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
+]
+_DP_E5 = np.zeros(13, dtype=complex)
+_DP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.1312004499419488073250102996e-1,
+    -0.1225156446376204440720569753e1,
+    -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e1,
+    -0.3503288487499736816886487290,
+    0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1,
+]
+# the 3rd-order weights are those of row 12 less 0.2440..., 0.7338... and
+# 0.0220... at stages 0, 8 and 11
+_DP_E3 = np.zeros(13, dtype=complex)
+_DP_E3[:12] = _DP_A[12, :12]
+_DP_E3[[0, 8, 11]] -= [
+    0.244094488188976377952755905512,
+    0.733846688281611857341361741547,
+    0.220588235294117647058823529412e-1,
+]
 
 _MAX_STEPS = 10**6  # steps of one integration, accepted or rejected
 
 
 def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float) -> np.ndarray:
-    """Dormand-Prince integration of y' = f(y) for every entry of ``y0`` at once.
+    """DOP853 integration of y' = f(y) for every entry of ``y0`` at once.
 
     ``t_out`` holds sorted, distinct, positive output times; the result has
-    one row per output time.  All points share the step, which is clamped
-    to each output time in turn, and a step is accepted when every point
-    meets |error| <= tol (1 + max(|y|, |y_new|)).  A trial step whose stage
-    leaves the disk (``f`` raises DomainError) is rejected like one that
-    fails the error test.  More than ``_MAX_STEPS`` steps, accepted or
-    not, raise StepSizeUnderflowError.
+    one row per output time.  A step takes 12 new evaluations of ``f``: 11
+    stages and the slope at the new value, which is reused as the first
+    stage of the next step.  All points share the step, which is clamped
+    to each output time in turn.  Per point the 5th- and 3rd-order error
+    estimates e5 and e3 combine into err = |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2),
+    and a step is accepted when every point meets err <= tol (1 + max(|y|,
+    |y_new|)).  A trial step whose stage leaves the disk (``f`` raises
+    DomainError) is rejected like one that fails the error test.  More
+    than ``_MAX_STEPS`` steps, accepted or not, raise StepSizeUnderflowError.
     """
     out = np.empty((t_out.size, y0.size), dtype=complex)
     # w[0] is the state y and w[1 + j] the stage slope k_j.  Row i of
     # c = [1 | h A] makes the input of stage i a single product c[i] . w;
     # the views are taken once, since the step loop is overhead-bound for
     # few points.
-    w = np.empty((8, y0.size), dtype=complex)
+    w = np.empty((14, y0.size), dtype=complex)
     w[0] = y0
     w[1] = f(y0)
     slopes = w[1:]
-    c = np.ones((7, 8), dtype=complex)
-    stages = [(c[i, : i + 1], w[: i + 1]) for i in range(1, 7)]
+    c = np.ones((13, 14), dtype=complex)
+    stages = [(c[i, : i + 1], w[: i + 1]) for i in range(1, 13)]
     abs_y = np.abs(y0)
     t = 0.0
     dt = 0.1
@@ -108,18 +200,21 @@ def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float) -> np.ndarray:
                 ratio = np.inf
             else:
                 abs_new = np.abs(y_new)
-                err = np.abs(np.dot(_DP_E, slopes)) / (1.0 + np.maximum(abs_y, abs_new))
-                ratio = h * float(err.max(initial=0.0))
-            # PI-free step update with the usual safety factor and clamps
+                sq5 = np.abs(np.dot(_DP_E5, slopes)) ** 2  # |e5|^2
+                sq3 = np.abs(np.dot(_DP_E3, slopes)) ** 2  # |e3|^2
+                den = np.sqrt(sq5 + 0.01 * sq3)
+                err = np.divide(sq5, den, out=np.zeros_like(den), where=den > 0.0)
+                ratio = h * float((err / (1.0 + np.maximum(abs_y, abs_new))).max(initial=0.0))
+            # the DOP853 step update: safety factor 0.9, exponent 1/8, clamps 0.2 and 10
             if ratio == 0.0:
-                factor = 5.0
+                factor = 10.0
             else:
-                factor = min(5.0, max(0.2, 0.9 * (tol / ratio) ** 0.2))
+                factor = min(10.0, max(0.2, 0.9 * (tol / ratio) ** 0.125))
             accepted = ratio <= tol
             if accepted:
                 t += h
                 w[0] = y_new
-                w[1] = w[7]
+                w[1] = w[13]
                 abs_y = abs_new
             # an accepted step clamped to an output time keeps the proposal
             dt = max(dt, h * factor) if accepted and h < dt else h * factor

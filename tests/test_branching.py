@@ -45,6 +45,27 @@ def test_generator_relation():
         assert gen.eval(z).real >= 0
 
 
+def test_stored_alpha_keeps_values_bit_identical():
+    # reference: alpha re-summed from the sorted rates on every call
+    for rates in ({2: 0.1, 3: 0.2, 7: 0.3}, {5: 1.7, 2: 1e-3}, {}):
+        gen = BranchingGenerator(rates)
+        alpha = float(sum(lam for _, lam in sorted(rates.items())))
+        assert gen.alpha == alpha and gen.beta == complex(alpha)
+        coeffs = np.zeros(9, dtype=complex)
+        coeffs[0] = alpha
+        for j, lam in rates.items():
+            coeffs[j - 1] -= lam
+        assert np.array_equal(gen.series(8).coeffs, coeffs)
+        for z in (np.array([0.3, -0.5j, 0.2 + 0.6j, 0.0]), np.array(0.4 - 0.1j), 0.4 - 0.1j):
+            zs = np.asarray(z, dtype=complex)
+            u = np.full_like(zs, alpha)
+            for j, lam in sorted(rates.items()):
+                u = u - lam * zs ** (j - 1)
+            assert np.array_equal(gen.eval(z), u)
+            assert np.array_equal(gen.vector_field_at(z), -zs * u)
+            assert type(gen.eval(z)) is (complex if np.ndim(z) == 0 else np.ndarray)
+
+
 # -- Yule closed form -----------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,80 @@ def test_evolve_batch_domain_checks():
         evolve(ConstGen(), [1.0, -0.1], [0.3, 0.2j])
     with pytest.raises(DomainError):
         evolve(ConstGen(), [float("nan")], [0.3])
+
+
+# -- the DOP853 pair -----------------------------------------------------------
+
+
+def test_dop853_tableau_order_conditions():
+    # For y' = lam y the input of stage i is a polynomial in z = h lam:
+    # Y_0 = 1 and Y_i = 1 + z sum_l A[i, l] Y_l.  Row 12 is one step, which
+    # must match e^z through z^8; the error rows must sum to 0 and vanish
+    # through z^4 (5th order) and z^2 (3rd order).  A mistyped digit
+    # anywhere in the stage matrix or the error rows fails one of these.
+    a = semigroup._DP_A
+    inputs = np.zeros((13, 13))  # inputs[i, k] = [z^k] Y_i; degree <= i
+    for i in range(13):
+        inputs[i, 0] = 1.0
+        inputs[i, 1:] += (a[i, :i] @ inputs[:i])[:-1]
+    step = inputs[12]
+    for k in range(9):
+        assert abs(step[k] * math.factorial(k) - 1.0) <= 1e-13
+    assert abs(step[9] * math.factorial(9) - 1.0) > 1e-3  # order exactly 8
+    e5, e3 = semigroup._DP_E5, semigroup._DP_E3
+    assert e5.shape == e3.shape == (13,) and np.all(e5.imag == 0) and np.all(e3.imag == 0)
+    assert abs(e5.sum()) <= 1e-15 and abs(e3.sum()) <= 1e-15
+    assert np.max(np.abs(e5.real @ inputs)[:5]) <= 1e-13
+    assert np.max(np.abs(e3.real @ inputs)[:3]) <= 1e-13
+
+
+class CountingGen:
+    """Wraps a generator and counts its vector_field_at calls."""
+
+    def __init__(self, gen):
+        self.gen, self.beta, self.calls = gen, gen.beta, 0
+
+    def vector_field_at(self, z):
+        self.calls += 1
+        return self.gen.vector_field_at(z)
+
+
+three_atoms = HerglotzGenerator(0.1, [(0.3, 0.5), (2.0, 0.3), (4.0, 0.2)])
+ring64 = 0.5 * np.exp(2j * np.pi * np.arange(64) / 64)
+
+
+# The Dormand-Prince 5(4) pair this integrator replaced made 337, 259, 139,
+# 247 and 469 calls on these queries; DOP853 makes 229, 169, 85, 109 and 205.
+@pytest.mark.parametrize(
+    "gen, query, dp5_calls",
+    [
+        (three_atoms, lambda g: evolve(g, [1.9], [0.6 + 0.2j]), 337),
+        (three_atoms, lambda g: evolve(g, [0.5, 1.5], ring64), 259),
+        (BranchingGenerator.yule(1.0, 2), lambda g: evolve(g, [1.9], [0.6 + 0.2j]), 139),
+        (BranchingGenerator.yule(1.0, 2), lambda g: evolve(g, [0.5, 1.5], ring64), 247),
+        (three_atoms, lambda g: first_moment_law(g, 1.0), 469),
+    ],
+    ids=["herglotz-point", "herglotz-ring", "yule-point", "yule-ring", "first-moment"],
+)
+def test_rhs_calls_stay_below_the_dp5_count(gen, query, dp5_calls):
+    counted = CountingGen(gen)
+    query(counted)
+    assert 0 < counted.calls <= 0.75 * dp5_calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    j=st.sampled_from([2, 3, 4]),
+    lam=st.floats(0.5, 2.0),
+    t=st.floats(0.05, 3.0),
+    r=st.floats(0.0, 0.95),
+    phase=st.floats(0.0, 2 * np.pi),
+    tol=st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]),
+)
+def test_evolve_meets_its_tolerance_against_yule_closed_form(j, lam, t, r, phase, tol):
+    z = r * np.exp(1j * phase)
+    got = evolve_pointwise(BranchingGenerator.yule(lam, j), t, z, tol)
+    assert abs(got - yule_flow(lam, j, t, z)) <= 10 * tol
 
 
 # -- coefficient recursion ----------------------------------------------------
