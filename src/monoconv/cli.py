@@ -10,8 +10,9 @@ reused by every call in the process; :func:`build_parser` returns a fresh
 one.
 
 Exit codes: 0 success, 2 invalid input (malformed JSON, schema or
-validation errors), 3 mathematical domain errors, 4 numerical failures
-(step-size underflow, population overflow).
+validation errors, a truncation order above 4096), 3 mathematical domain
+errors, 4 numerical failures (step-size underflow, population overflow, a
+request too large to allocate).
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from .series import DEFAULT_ORDER, TruncatedSeries
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
+
+# Largest truncation order accepted (--order, an embed series): the power
+# table of order n is (n + 1)^2 complex numbers, 268 MB at 4096.
+_MAX_ORDER = 4096
 
 
 class InputError(ValueError):
@@ -102,6 +107,8 @@ def _k_from_obj(obj, path, order):
             raise InputError(f"{path}: invalid K-transform series: {exc}") from exc
         if order < 1:  # the check k_transform makes for a measure
             raise InputError(f"truncation order must be >= 1, got {order}")
+        if k.order > _MAX_ORDER:
+            raise InputError(f"K-transform series order must be <= {_MAX_ORDER}, got {k.order}")
         return k
     if "atoms" in obj or "moments" in obj:
         return k_transform(_measure_from_obj(obj, path), order)
@@ -154,8 +161,6 @@ def _jsonable(value):
         return [value.real, value.imag]
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -367,11 +372,16 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
         if getattr(args, "seed", 0) < 0:  # numpy's own message names no option
             raise InputError(f"--seed: must be >= 0, got {args.seed}")
+        if getattr(args, "order", 0) > _MAX_ORDER:
+            raise InputError(f"--order: must be <= {_MAX_ORDER}, got {args.order}")
         return args.func(args)
     except DomainError as exc:
         return _fail(EXIT_DOMAIN, "domain-error", str(exc))
     except (StepSizeUnderflowError, SupercriticalOverflowError) as exc:
         return _fail(EXIT_NUMERIC, "numeric-failure", str(exc))
+    except MemoryError as exc:  # numpy's names the array; a bare one says nothing
+        message = f"request too large to allocate: {str(exc) or 'out of memory'}"
+        return _fail(EXIT_NUMERIC, "numeric-failure", message)
     except ValueError as exc:
         return _fail(EXIT_INPUT, "invalid-input", str(exc))
 

@@ -7,7 +7,8 @@ a holomorphic u with Re u >= 0.  Such u has the representation
 
 with b real and nonnegative weights w_j attached to points omega_j on the
 circle.  This module keeps the measure part atomic; continuous measures
-are approximated by atoms (see :meth:`HerglotzGenerator.uniform`).
+are approximated by atoms (see :meth:`HerglotzGenerator.uniform`).  Atoms
+are checked as a CircleMeasure's, and u_m = 2 conj(m_m) from their moments.
 
 The associated vector field is v(z) = -z u(z), with v(0) = 0 and
 v'(0) = -u(0).
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import canonical_angle
+from ._util import atom_moments, atoms
 from .errors import DomainError
 from .series import DEFAULT_ORDER, TruncatedSeries
 
@@ -33,28 +34,17 @@ class HerglotzGenerator:
         Atoms of the representing measure, weights >= 0.
     """
 
-    __slots__ = ("b", "_angles", "_weights", "_omega", "_cweights")
+    __slots__ = ("b", "_angles", "_weights", "_omega")
 
     def __init__(self, b: float = 0.0, rho=()):
         b = float(b)
+        if not np.isfinite(b):
+            raise ValueError("Herglotz b must be finite")
         pairs = list(rho)
-        angles = np.array([t for t, _ in pairs], dtype=float)
-        weights = np.array([w for _, w in pairs], dtype=float)
-        if not (np.isfinite(b) and np.isfinite(angles).all() and np.isfinite(weights).all()):
-            raise ValueError("Herglotz b, angles and weights must be finite")
-        angles = np.array([canonical_angle(t) for t in angles], dtype=float)
-        if np.any(weights < 0):
-            raise ValueError("Herglotz weights must be nonnegative")
-        angles.setflags(write=False)
-        weights.setflags(write=False)
         self.b = b
-        self._angles = angles
-        self._weights = weights
-        # eval-time constants: the atoms omega_j = e^{i angle_j} and complex weights
-        self._omega = np.exp(1j * angles)
-        self._cweights = weights.astype(complex)
+        self._angles, self._weights = atoms([t for t, _ in pairs], [w for _, w in pairs])
+        self._omega = np.exp(1j * self._angles)  # the atoms e^{i angle_j}, for eval
         self._omega.setflags(write=False)
-        self._cweights.setflags(write=False)
 
     @classmethod
     def uniform(cls, mass: float = 1.0, n_atoms: int = 64) -> "HerglotzGenerator":
@@ -89,7 +79,7 @@ class HerglotzGenerator:
             raise DomainError("generator is defined on the open unit disk")
         omega = self._omega
         terms = (omega + z[..., None]) / (omega - z[..., None])
-        val = 1j * self.b + terms @ self._cweights
+        val = 1j * self.b + terms @ self._weights
         return val if val.ndim else complex(val)
 
     def vector_field_at(self, z):
@@ -103,8 +93,7 @@ class HerglotzGenerator:
         """Taylor coefficients of u: u_0 = beta, u_m = 2 sum_j w_j e^{-i m angle_j}."""
         c = np.zeros(n + 1, dtype=np.complex128)
         c[0] = self.beta
-        m = np.arange(1, n + 1)
-        c[1:] = 2.0 * np.exp(-1j * np.outer(m, self._angles)) @ self._cweights
+        c[1:] = 2 * np.conj(atom_moments(self._angles, self._weights, n))
         return TruncatedSeries(c)
 
     def __repr__(self):

@@ -1,7 +1,8 @@
 """Probability measures on the unit circle and their K-transforms.
 
 A measure is represented either by weighted atoms (angle, weight) or by a
-finite moment sequence m_k = integral of x^k.  The moment generating
+finite moment sequence m_k = integral of x^k; atoms are checked and summed
+as Herglotz atoms are (:mod:`monoconv.generator`).  The moment generating
 function psi(z) = sum_{k>=1} m_k z^k determines the K-transform
 K = psi / (1 + psi), a holomorphic self-map of the disk with K(0) = 0 that
 characterizes the measure completely.  Since (1 + psi)(1 - K) = 1, each
@@ -18,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import TWO_PI, canonical_angle, ring_grid, toeplitz_from_moments
+from ._util import TWO_PI, atom_moments, atoms, ring_grid, toeplitz_from_moments
 from .errors import DomainError
 from .series import DEFAULT_ORDER, TruncatedSeries, horner
 
@@ -52,19 +53,11 @@ class CircleMeasure:
             self._weights = None
             self._moments = m
             return
-        a = np.array(angles, dtype=float, ndmin=1)
-        w = np.array(weights, dtype=float)
-        if a.shape != w.shape or a.ndim != 1 or a.size == 0:
+        a, w = atoms(angles, weights)
+        if a.size == 0:
             raise ValueError("angles and weights must be 1-d sequences of equal length")
-        if not (np.isfinite(a).all() and np.isfinite(w).all()):
-            raise ValueError("atom angles and weights must be finite")
-        a = np.array([canonical_angle(t) for t in a], dtype=float)
-        if np.any(w < 0):
-            raise ValueError("atom weights must be nonnegative")
         if abs(w.sum() - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"atom weights must sum to 1 (got {float(w.sum())!r})")
-        a.setflags(write=False)
-        w.setflags(write=False)
         self._angles = a
         self._weights = w
         self._moments = None
@@ -121,8 +114,7 @@ class CircleMeasure:
         if n < 1:
             raise ValueError("moment order must be >= 1")
         if self.is_atomic:
-            k = np.arange(1, n + 1)
-            return np.exp(1j * np.outer(k, self._angles)) @ self._weights.astype(complex)
+            return atom_moments(self._angles, self._weights, n)
         if n > self._moments.size:
             raise DomainError(
                 f"measure stores {self._moments.size} moments, {n} requested"

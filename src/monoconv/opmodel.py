@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError
-from ._util import canonical_angle
+from ._util import atoms
 
 __all__ = [
     "MatrixModel",
@@ -395,12 +395,9 @@ def diagonal_unitary_model(angles, weights, name: str) -> MatrixModel:
     """Atomic circle measure realized as a diagonal unitary.
 
     The state carries the square roots of the weights, so operator moments
-    of the named unitary equal the measure moments.  The weights must be
-    nonnegative (a ``ValueError`` otherwise).
+    of the named unitary equal the measure moments.  The atoms are checked
+    as a CircleMeasure's (a ``ValueError`` otherwise).
     """
-    angles = [canonical_angle(t) for t in angles]
-    w = np.asarray(weights, dtype=float)
-    if not np.all(w >= 0):
-        raise ValueError("weights must be nonnegative")
-    u = np.diag(np.exp(1j * np.asarray(angles)))
-    return MatrixModel(len(angles), np.sqrt(w).astype(complex), {name: u})
+    a, w = atoms(angles, weights)
+    u = np.diag(np.exp(1j * a))
+    return MatrixModel(a.size, np.sqrt(w).astype(complex), {name: u})

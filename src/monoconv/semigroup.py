@@ -153,10 +153,10 @@ _MAX_STEPS = 10**6  # steps of one integration, accepted or rejected
 def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float) -> np.ndarray:
     """DOP853 integration of y' = f(y) for every entry of ``y0`` at once.
 
-    ``t_out`` holds sorted, distinct, positive output times; the result has
-    one row per output time.  A step takes 12 new evaluations of ``f``: 11
-    stages and the slope at the new value, which is reused as the first
-    stage of the next step.  All points share the step, which is clamped
+    ``t_out`` holds sorted, distinct, nonnegative output times; the result
+    has one row per output time, and a row for t = 0 is ``y0`` exactly.  A
+    step takes 12 new evaluations of ``f``: 11 stages and the slope at the
+    new value, which is reused as the first stage of the next step.  All points share the step, which is clamped
     to each output time in turn.  Per point the 5th- and 3rd-order error
     estimates e5 and e3 combine into err = |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2),
     and a step is accepted when every point meets err <= tol (1 + max(|y|,
@@ -229,8 +229,8 @@ def evolve(gen, times, points, tol: float = 1e-10) -> np.ndarray:
     """K_t(z) for every requested time and point, as a (len(times), len(points)) array.
 
     One adaptive integration of dK/dt = v(K) from K_0(z) = z runs through
-    the sorted distinct positive times, with one step shared by all points;
-    rows come back in the caller's order, and rows for t = 0 are the inputs
+    the sorted distinct times, with one step shared by all points; rows
+    come back in the caller's order, and rows for t = 0 are the inputs
     exactly.  Because the step is shared, a value depends on the other
     points of the call at the level of the tolerance.  Requires |z| < 1
     and finite t >= 0 for every point and time, and a finite tol > 0 (a
@@ -247,12 +247,7 @@ def evolve(gen, times, points, tol: float = 1e-10) -> np.ndarray:
     if not 0 < tol < np.inf:
         raise ValueError("tolerance must be positive and finite")
     grid, inverse = np.unique(ts, return_inverse=True)
-    values = np.empty((grid.size, zs.size), dtype=complex)
-    moving = grid > 0
-    values[~moving] = zs
-    if moving.any():
-        values[moving] = _integrate(gen.vector_field_at, zs, grid[moving], tol)
-    return values[inverse]
+    return _integrate(gen.vector_field_at, zs, grid, tol)[inverse]
 
 
 def evolve_pointwise(gen, t: float, z: complex, tol: float = 1e-10) -> complex:

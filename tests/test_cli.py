@@ -212,6 +212,22 @@ def test_gw_overflow_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "numeric-failure"
 
 
+def test_out_of_memory_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    # raised, not provoked: a huge allocation may succeed under overcommit
+    def simulate_gw(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli.branching, "simulate_gw", simulate_gw)
+    law = write(tmp_path, "law.json", {"p": [0, 0.5, 0.5]})
+    code, out, err = run(capsys, ["gw", law, "--n", "1", "--trials", "1000000000000"])
+    assert (code, out) == (4, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == {
+        "code": "numeric-failure",
+        "message": "request too large to allocate: Unable to allocate 7.28 TiB for an array",
+    }
+
+
 def test_gw_point_outside_disk_exit_code(tmp_path, capsys):
     law = write(tmp_path, "law.json", {"p": [0.0, 0.5, 0.5]})
     code, out, err = run(capsys, ["gw", law, "--n", "4", "--trials", "100", "--seed", "1", "--z", "1.5"])

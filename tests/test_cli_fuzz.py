@@ -43,6 +43,7 @@ CASES = [
     ("convolve-short-moments", ["convolve", "{mu}", "{unit}", "--order", "8"], {"mu": '{"moments": [[0.0, 0.0]]}'}, 3),
     ("convolve-order-0", ["convolve", "{unit}", "{unit}", "--order", "0"], {}, 2),
     ("convolve-order-negative", ["convolve", "{mu}", "{mu}", "--order", "-3"], {"mu": TWO_ATOMS}, 2),
+    ("convolve-order-above-cap", ["convolve", "{mu}", "{mu}", "--order", "100000"], {"mu": TWO_ATOMS}, 2, "--order: must be <= 4096, got 100000"),
     # evolve: generators, points, times and tolerance
     ("evolve-nan-rate", ["evolve", "{gen}", "--t", "1", "--z", "0.5"], {"gen": '{"rates": {"2": NaN}}'}, 2),
     ("evolve-inf-rate", ["evolve", "{gen}", "--t", "1", "--z", "0.5"], {"gen": '{"rates": {"2": Infinity}}'}, 2),
@@ -98,6 +99,8 @@ CASES = [
     ("embed-order-negative", ["embed", "{k}", "--order", "-3"], {"k": TWO_ATOMS}, 2),
     ("embed-order-negative-series", ["embed", "{k}", "--order", "-3"], {"k": '{"series": [[0, 0], [0.5, 0]]}'}, 2),
     ("embed-order-0-series-input", ["embed", "{k}", "--order", "0"], {"k": '{"series": [[0, 0], [0.5, 0]]}'}, 2),
+    ("embed-order-above-cap", ["embed", "{k}", "--order", "100000"], {"k": TWO_ATOMS}, 2, "--order: must be <= 4096, got 100000"),
+    ("embed-series-above-cap", ["embed", "{k}"], {"k": '{"series": %s}' % json.dumps([[0, 0], [0.5, 0]] + [[0, 0]] * 4096)}, 2, "K-transform series order must be <= 4096, got 4097"),
     # gw: offspring laws and sampling
     ("gw-nan-p", ["gw", "{law}", "--n", "2", "--trials", "10"], {"law": '{"p": [NaN, 1.0]}'}, 2),
     ("gw-inf-p", ["gw", "{law}", "--n", "2", "--trials", "10"], {"law": '{"p": [Infinity, 0.5]}'}, 2),

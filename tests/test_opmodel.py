@@ -5,6 +5,7 @@ import pytest
 
 from monoconv.convolution import monotone_convolve
 from monoconv.errors import DomainError
+from monoconv.generator import HerglotzGenerator
 from monoconv.measure import CircleMeasure, k_transform
 from monoconv.opmodel import (
     MatrixModel,
@@ -97,6 +98,36 @@ def test_diagonal_unitary_model_rejects_negative_weights():
         warnings.simplefilter("error")  # no square root of a negative weight is taken
         with pytest.raises(ValueError, match="nonnegative"):
             diagonal_unitary_model([0, 1], [1.5, -0.5], "U")
+
+
+@pytest.mark.parametrize(
+    "angles, weights, message",
+    [
+        ([np.nan, 1.0], [0.5, 0.5], "atom angles and weights must be finite"),
+        ([0.0, 1.0], [np.inf, 0.5], "atom angles and weights must be finite"),
+        ([0.0, 1.0], [np.nan, 0.5], "atom angles and weights must be finite"),
+        ([0.0, 1.0, 2.0], [0.5, 0.5], "angles and weights must be 1-d sequences of equal length"),
+    ],
+    ids=["nan-angle", "inf-weight", "nan-weight", "length-mismatch"],
+)
+def test_diagonal_unitary_model_checks_atoms_as_measures_do(angles, weights, message):
+    with pytest.raises(ValueError) as exc:
+        diagonal_unitary_model(angles, weights, "U")
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        CircleMeasure.from_atoms(angles, weights)
+    assert str(exc.value) == message
+
+
+def test_every_atom_constructor_stores_the_same_canonical_angles():
+    angles = [2 * np.pi, -2 * np.pi, -1e-300, 7.0]
+    expected = np.array([0.0, 0.0, 0.0, 7.0 - 2 * np.pi])
+    mu = CircleMeasure.from_atoms(angles, [0.25] * 4)
+    gen = HerglotzGenerator(0.0, [(a, 0.25) for a in angles])
+    model = diagonal_unitary_model(angles, [0.25] * 4, "U")
+    for stored in (mu.atoms[0], gen._angles):
+        assert stored.tobytes() == expected.tobytes()  # +0.0, never 2*pi or -0.0
+    assert np.diag(model.operators["U"]).tobytes() == np.exp(1j * expected).tobytes()
 
 
 def test_independence_defect_of_product():
