@@ -10,9 +10,10 @@ reused by every call in the process; :func:`build_parser` returns a fresh
 one.
 
 Exit codes: 0 success, 2 invalid input (malformed JSON, schema or
-validation errors, a truncation order above 4096), 3 mathematical domain
-errors, 4 numerical failures (step-size underflow, population overflow, a
-request too large to allocate).
+validation errors, a truncation order above 4096, a gw run of more than
+10^5 generations), 3 mathematical domain errors, 4 numerical failures
+(step-size underflow, population overflow, a request too large to
+allocate).
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ EXIT_NUMERIC = 4
 # Largest truncation order accepted (--order, an embed series): the power
 # table of order n is (n + 1)^2 complex numbers, 268 MB at 4096.
 _MAX_ORDER = 4096
+# Largest generation count accepted (gw --n): the theory column iterates the
+# generating function once per generation and sample point.
+_MAX_GENERATIONS = 10**5
 
 
 class InputError(ValueError):
@@ -374,6 +378,8 @@ def main(argv=None) -> int:
             raise InputError(f"--seed: must be >= 0, got {args.seed}")
         if getattr(args, "order", 0) > _MAX_ORDER:
             raise InputError(f"--order: must be <= {_MAX_ORDER}, got {args.order}")
+        if getattr(args, "n", 0) > _MAX_GENERATIONS:
+            raise InputError(f"--n: must be <= {_MAX_GENERATIONS}, got {args.n}")
         return args.func(args)
     except DomainError as exc:
         return _fail(EXIT_DOMAIN, "domain-error", str(exc))

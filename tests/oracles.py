@@ -15,6 +15,9 @@ extrapolation over the two inner grid rings.  ``k_route_convolve`` is the
 convolution by its defining identity K_{mu |> nu} = K_mu o K_nu, with both
 K-transforms and the conversion back to moments, where
 :func:`monoconv.convolution.monotone_convolve` composes psi_mu with K_nu.
+``gw_exact_law`` is the law of a Galton-Watson generation Y_n read off the
+iterated generating function on roots of unity by one FFT, where the
+simulator draws from convolution powers of the offspring law.
 """
 
 from itertools import groupby
@@ -165,3 +168,16 @@ def iterated_generator(k, max_iter: int = 500, conv_tol: float = 1e-9):
     g2 = np.mean(u_raw[_RING_ANGLES : 2 * _RING_ANGLES])
     origin = (_RICHARDSON_SCALE * g1 - g2) / (_RICHARDSON_SCALE - 1.0)
     return u_raw / origin
+
+
+def gw_exact_law(law, n: int) -> np.ndarray:
+    """P(Y_n = k) for k = 0..(L-1)^n, Y_0 = 1, from ``law.phi_iterate`` by one FFT.
+
+    Y_n <= (L-1)^n for support 0..L-1, so the N = (L-1)^n + 1 values
+    phi_n(w^j), w = e^{2 pi i/N}, determine every coefficient without
+    aliasing: P(Y_n = k) = (1/N) sum_j phi_n(w^j) w^{-jk}.
+    """
+    size = (len(law.p) - 1) ** n + 1
+    roots = np.exp(2j * np.pi * np.arange(size) / size)
+    values = np.array([law.phi_iterate(w, n) for w in roots])
+    return np.clip(np.fft.fft(values).real / size, 0.0, None)

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import vector_field
+from oracles import gw_exact_law, vector_field
 
 from monoconv.branching import (
     BranchingGenerator,
     OffspringLaw,
+    _sample_sizes,
     law_k_transform,
     simulate_gw,
     yule_flow,
@@ -214,3 +217,94 @@ def test_simulation_rejects_points_outside_closed_disk():
         simulate_gw(law, 3, 10, [0.5, 1.5], seed=1)
     on_circle = simulate_gw(law, 3, 10, [1.0, -1j], seed=1)
     assert all(abs(m) <= 1.0 for m in on_circle.means)
+
+
+# -- the law of the sampled sizes --------------------------------------------------
+
+# Upper 1e-6 point of the standard normal.  Through the Wilson-Hilferty
+# approximation it gives a chi-square bound that an exact sampler exceeds
+# with probability at most 1e-6: from 1 to 331 degrees of freedom the
+# approximate bound lies above the exact 1e-6 quantile (27.5 against 23.9
+# at 1, 468.1 against 468.0 at 331).
+_Z_FALSE_ALARM = 4.753424
+
+
+class _LoggedRng:
+    """A generator that records each multinomial draw as "group" (one count) or "trial" (one per trial)."""
+
+    def __init__(self, seed, kinds):
+        self._rng = np.random.default_rng(seed)
+        self._kinds = kinds
+
+    def multinomial(self, n, pvals):
+        self._kinds.append("group" if np.ndim(n) == 0 else "trial")
+        return self._rng.multinomial(n, pvals)
+
+
+def _chi_square_within_bound(observed, probs):
+    """Pearson's statistic over neighbouring sizes merged until each bin expects >= 5 trials."""
+    expected = probs * observed.sum()
+    bins, o, e = [], 0.0, 0.0
+    for ok, ek in zip(observed, expected):
+        o, e = o + ok, e + ek
+        if e >= 5.0:
+            bins.append((o, e))
+            o, e = 0.0, 0.0
+    bins[-1] = (bins[-1][0] + o, bins[-1][1] + e)
+    stat = sum((o - e) ** 2 / e for o, e in bins)
+    dof = len(bins) - 1
+    bound = dof * (1 - 2 / (9 * dof) + _Z_FALSE_ALARM * np.sqrt(2 / (9 * dof))) ** 3
+    return stat < bound, stat, dof
+
+
+S65 = [0.5] + [0.0] * 63 + [0.5]
+
+
+@pytest.mark.parametrize(
+    "p, n, trials, runs, draws",
+    [
+        ([0.25, 0.5, 0.25], 5, 100_000, 1, {"group"}),  # critical
+        ([0.5, 0.3, 0.2], 6, 100_000, 1, {"group"}),  # subcritical, p_0 > 0
+        ([0, 0.5, 0.5], 8, 100_000, 1, {"group", "trial"}),  # supercritical
+        (S65, 2, 1000, 20, {"group", "trial"}),  # support 65: the second generation pools per trial
+        ([0, 0.5, 0.5], 12, 300, 30, {"group", "trial"}),  # grouped, then per trial once sizes spread
+        ([0.25, 0.5, 0.25], 5, 3, 3000, {"trial"}),  # too few trials to group
+    ],
+    ids=["critical", "subcritical", "supercritical", "support-65", "switch", "few-trials"],
+)
+def test_sampled_sizes_follow_the_exact_law(p, n, trials, runs, draws):
+    law = OffspringLaw(p)
+    probs = gw_exact_law(law, n)
+    observed = np.zeros(probs.size)
+    kinds = []
+    for seed in range(runs):
+        sizes, counts = _sample_sizes(law, n, trials, _LoggedRng([17, seed], kinds))
+        assert counts.sum() == trials and (np.diff(sizes) > 0).all()
+        assert sizes[-1] < probs.size and (probs[sizes] > 1e-14).all()  # no impossible size
+        observed[sizes] += counts
+    assert draws <= set(kinds)
+    if draws == {"trial"}:
+        assert set(kinds) == {"trial"}
+    ok, stat, dof = _chi_square_within_bound(observed, probs)
+    assert ok, f"chi-square {stat:.1f} on {dof} dof"
+
+
+@pytest.mark.parametrize("trials", [3, 10])  # per-trial and grouped
+def test_sampling_stops_once_every_trial_is_extinct(trials):
+    kinds = []
+    sizes, counts = _sample_sizes(OffspringLaw([0.5, 0.3, 0.2]), 10**5, trials, _LoggedRng(2, kinds))
+    assert sizes.tolist() == [0] and counts.tolist() == [trials]
+    assert len(kinds) < 100
+    sim = simulate_gw(OffspringLaw([0.5, 0.3, 0.2]), 10**4, trials, [0.5], seed=2)
+    assert sim.means == (1 + 0j,) and sim.stderrs == (0.0,)
+
+
+def test_grouped_sampling_memory():
+    # per-trial arrays of 10^7 trials would take hundreds of MiB
+    tracemalloc.start()
+    try:
+        simulate_gw(OffspringLaw([0.25, 0.5, 0.25]), 5, 10**7, [0.5], seed=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

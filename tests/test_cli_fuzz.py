@@ -116,6 +116,7 @@ CASES = [
     ("gw-no-keys", ["gw", "{law}", "--n", "2", "--trials", "10"], {"law": "{}"}, 2),
     ("gw-zero-trials", ["gw", "{law}", "--n", "2", "--trials", "0"], {"law": LAW}, 2),
     ("gw-negative-steps", ["gw", "{law}", "--n", "-1", "--trials", "10"], {"law": LAW}, 2),
+    ("gw-steps-above-cap", ["gw", "{law}", "--n", "100001", "--trials", "10"], {"law": LAW}, 2, "--n: must be <= 100000, got 100001"),
     ("gw-negative-seed", ["gw", "{law}", "--n", "2", "--trials", "10", "--seed", "-1"], {"law": LAW}, 2, "--seed: must be >= 0, got -1"),
     ("gw-point-outside", ["gw", "{law}", "--n", "2", "--trials", "10", "--z", "2"], {"law": LAW}, 3),
     ("gw-nan-point", ["gw", "{law}", "--n", "2", "--trials", "10", "--z", "nan"], {"law": LAW}, 3),
