@@ -230,14 +230,22 @@ _Z_FALSE_ALARM = 4.753424
 
 
 class _LoggedRng:
-    """A generator that records each multinomial draw as "group" (one count) or "trial" (one per trial)."""
+    """A generator that records each multinomial draw as "group" (one count) or "trial" (one per trial).
+
+    ``widest`` is the most cells any "group" draw had.
+    """
 
     def __init__(self, seed, kinds):
         self._rng = np.random.default_rng(seed)
         self._kinds = kinds
+        self.widest = 0
 
     def multinomial(self, n, pvals):
-        self._kinds.append("group" if np.ndim(n) == 0 else "trial")
+        if np.ndim(n) == 0:
+            self._kinds.append("group")
+            self.widest = max(self.widest, len(pvals))
+        else:
+            self._kinds.append("trial")
         return self._rng.multinomial(n, pvals)
 
 
@@ -287,6 +295,27 @@ def test_sampled_sizes_follow_the_exact_law(p, n, trials, runs, draws):
         assert set(kinds) == {"trial"}
     ok, stat, dof = _chi_square_within_bound(observed, probs)
     assert ok, f"chi-square {stat:.1f} on {dof} dof"
+
+
+def test_law_summing_slightly_above_one():
+    # OffspringLaw accepts sums within 1e-12 of 1, p^{*y} then sums to about
+    # 1 + y 1e-13, and numpy's multinomial rejects cells summing above 1 + 1e-12
+    law = OffspringLaw([0, 0.5, 0.5 + 1e-13])
+    rng = _LoggedRng(23, [])
+    sizes, counts = _sample_sizes(law, 9, 100_000, rng)
+    assert rng.widest > 2 * 50  # a histogram draw over p^{*y}, y > 50
+    ok, stat, dof = _chi_square_within_bound(
+        np.bincount(sizes, weights=counts, minlength=2**9 + 1), gw_exact_law(law, 9)
+    )
+    assert ok, f"chi-square {stat:.1f} on {dof} dof"
+
+
+@pytest.mark.parametrize("trials", [2**53 + 1, 2**63 - 1])
+def test_trial_counts_beyond_float_precision_stay_exact(trials):
+    sizes, counts = _sample_sizes(OffspringLaw([0.25, 0.5, 0.25]), 4, trials, _LoggedRng(5, []))
+    assert counts.dtype == np.int64 and int(counts.sum()) == trials
+    with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        simulate_gw(OffspringLaw([0.25, 0.5, 0.25]), 4, 2**63, [0.5], seed=5)
 
 
 @pytest.mark.parametrize("trials", [3, 10])  # per-trial and grouped

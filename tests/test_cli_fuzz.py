@@ -115,6 +115,7 @@ CASES = [
     ("gw-top-list", ["gw", "{law}", "--n", "2", "--trials", "10"], {"law": "[]"}, 2),
     ("gw-no-keys", ["gw", "{law}", "--n", "2", "--trials", "10"], {"law": "{}"}, 2),
     ("gw-zero-trials", ["gw", "{law}", "--n", "2", "--trials", "0"], {"law": LAW}, 2),
+    ("gw-trials-above-int64", ["gw", "{law}", "--n", "2", "--trials", "9223372036854775808"], {"law": LAW}, 2, "trial count must be below 2**63, got 9223372036854775808"),
     ("gw-negative-steps", ["gw", "{law}", "--n", "-1", "--trials", "10"], {"law": LAW}, 2),
     ("gw-steps-above-cap", ["gw", "{law}", "--n", "100001", "--trials", "10"], {"law": LAW}, 2, "--n: must be <= 100000, got 100001"),
     ("gw-negative-seed", ["gw", "{law}", "--n", "2", "--trials", "10", "--seed", "-1"], {"law": LAW}, 2, "--seed: must be >= 0, got -1"),
