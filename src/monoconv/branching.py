@@ -55,10 +55,17 @@ class OffspringLaw:
         return horner(self.p, z)
 
     def phi_iterate(self, z, n: int):
-        """n-fold composition of the generating function at z."""
+        """n-fold composition of the generating function at z.
+
+        Stops early at an exact fixed point, phi(val) == val to the bit:
+        every later iterate is then the same number.
+        """
         val = complex(z)
         for _ in range(n):
-            val = self.phi(val)
+            nxt = self.phi(val)
+            if nxt == val and repr(nxt) == repr(val):  # repr tells -0.0 from 0.0
+                break
+            val = nxt
         return val
 
 

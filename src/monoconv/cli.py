@@ -37,8 +37,9 @@ EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
 
-# Largest truncation order accepted (--order, an embed series): the power
-# table of order n is (n + 1)^2 complex numbers, 268 MB at 4096.
+# Largest truncation order accepted (--order, an embed series): embed builds
+# the power table of order n, (n + 1)^2 complex numbers, 268 MB at 4096;
+# composition keeps about 2 n sqrt(n) of them.
 _MAX_ORDER = 4096
 # Largest generation count accepted (gw --n): the theory column iterates the
 # generating function once per generation and sample point.

@@ -9,14 +9,22 @@ product only determines that many coefficients reliably.  Accessing a
 coefficient beyond the truncation order raises instead of silently
 returning zero.
 
-Composition goes through the truncated power table P[k, m] = [g^k]_m of
-the inner series g (g(0) = 0): f(g) = sum_k f_k g^k, so its coefficients
-are the vector-matrix product f @ P.  The table is triangular, because
-g^k = O(z^k), and column m of g^k = g^(k-1) g needs only g_1..g_(m-1) and
-the columns before m.  Filling it a column at a time costs about n^3/3
-multiply-adds at order n, one matrix-vector product per column, and lets
-:func:`~monoconv.semigroup.flow_coefficients` fill the same table while
-it is still solving for g; :func:`_power_table` builds it for a known g.
+Composition evaluates f(g) = sum_k f_k g^k by baby steps and giant steps
+(Paterson & Stockmeyer 1973; Brent & Kung 1978 for power series).  With
+s = ceil(sqrt(n + 1)), it stacks the baby steps g^0..g^(s-1), gets every
+block B_j(g) = sum_{i<s} f_(js+i) g^i from one matrix product, and runs
+Horner in the giant step G = g^s: about 2 sqrt(n) truncated series
+products and O(n sqrt(n)) memory at order n.  Since g(0) = 0, g^k =
+O(z^k), and block j is multiplied by G^j = O(z^(js)); each product keeps
+only the degrees that can still reach z^n.
+
+The whole truncated power table P[k, m] = [g^k]_m is built only where all
+of it is needed: by the Koenigs solve of :mod:`~monoconv.embedding`,
+and by :func:`~monoconv.semigroup.flow_coefficients`, which fills it a
+column at a time while it is still solving for g.  The table is
+triangular, and column m of g^k = g^(k-1) g needs only g_1..g_(m-1) and
+the columns before m: one matrix-vector product per column, about n^3/3
+multiply-adds.  :func:`_power_table` builds it for a known g.
 
 :func:`horner` is the one polynomial evaluator of the package, for
 series, K-transforms and offspring generating functions alike.
@@ -26,6 +34,8 @@ every operation returns a new instance.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -190,13 +200,33 @@ class TruncatedSeries:
 
         ``inner`` must have zero constant term, otherwise the truncated
         composition would depend on coefficients beyond the stored order.
-        The result is c @ P for the power table P of ``inner`` (see the
-        module docstring), about n^3/3 multiply-adds at order n.
+        Baby steps and giant steps (see the module docstring): about
+        2 sqrt(n) truncated products and one (n/s) x s x n matrix product
+        at order n, with s = ceil(sqrt(n + 1)).
         """
         if inner._c[0] != 0:
             raise DomainError("inner series of a composition must have zero constant term")
         n = min(self.order, inner.order)
-        return TruncatedSeries(self._c[: n + 1] @ _power_table(inner._c[: n + 1]))
+        g = inner._c[: n + 1]
+        s = math.isqrt(n) + 1  # ceil(sqrt(n + 1))
+        blocks = -(-(n + 1) // s)
+        baby = np.zeros((s, n + 1), dtype=np.complex128)
+        baby[0, 0] = 1.0
+        for k in range(1, s):  # g^k, whose first k coefficients are zero
+            baby[k, k:] = np.convolve(baby[k - 1, k - 1 : n], g[1 : n + 2 - k])[: n + 1 - k]
+        f = np.zeros(blocks * s, dtype=np.complex128)
+        f[: n + 1] = self._c[: n + 1]
+        b = f.reshape(blocks, s) @ baby  # b[j] = B_j(g)
+        acc = b[-1, : n + 1 - (blocks - 1) * s]
+        if blocks > 1:
+            # G = g^s = z^s h; the Horner accumulator for blocks j.. is later
+            # multiplied by G^j, so it is needed only through degree n - js
+            h = np.convolve(baby[s - 1, s - 1 : n], g[1 : n + 2 - s])[: n + 1 - s]
+            for j in range(blocks - 2, -1, -1):
+                nxt = b[j, : n + 1 - j * s].copy()
+                nxt[s:] += np.convolve(acc, h[: acc.size])[: acc.size]
+                acc = nxt
+        return TruncatedSeries(acc)
 
     # -- evaluation --------------------------------------------------------
 

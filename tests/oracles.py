@@ -3,18 +3,20 @@
 ``horner_compose`` is nested (Horner) composition on series and
 ``recursion_flow_coefficients`` solves v(f) = v f' one coefficient at a
 time with one full composition per coefficient, on the series
-``vector_field`` of v = -z u.  Neither shares code with the power table
-of :mod:`monoconv.series`.  ``merge_and_drop`` is the canonical form of a
-cfree word, computed apart from ``Word``.  ``NestedTupleCFree`` is the
-two-state recursion on states that carry every letter's polynomial,
-re-deriving psi tails, phi values and merges (full polynomial products) at
-each state; the interned evaluator must agree with it exactly.
+``vector_field`` of v = -z u.  Neither shares code with the composition
+or the power table of :mod:`monoconv.series`.  ``merge_and_drop`` is the
+canonical form of a cfree word, computed apart from ``Word``.
+``NestedTupleCFree`` is the two-state recursion on states that carry every
+letter's polynomial, re-deriving psi tails, phi values and merges (full
+polynomial products) at each state; the interned evaluator must agree with
+it exactly.
 ``iterated_generator`` reaches u/u(0) without the Koenigs function: it
 iterates -K^n/(K^n)' to a Cauchy tolerance and takes u(0) by Richardson
 extrapolation over the two inner grid rings.  ``k_route_convolve`` is the
 convolution by its defining identity K_{mu |> nu} = K_mu o K_nu, with both
-K-transforms and the conversion back to moments, where
-:func:`monoconv.convolution.monotone_convolve` composes psi_mu with K_nu.
+K-transforms, the conversion back to moments and ``horner_compose``, where
+:func:`monoconv.convolution.monotone_convolve` composes psi_mu with K_nu by
+the library's baby-step/giant-step composition.
 ``gw_exact_law`` is the law of a Galton-Watson generation Y_n read off the
 iterated generating function on roots of unity by one FFT, where the
 simulator draws from convolution powers of the offspring law.
@@ -42,8 +44,8 @@ def horner_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
 
 
 def k_route_convolve(mu, nu, n: int) -> np.ndarray:
-    """Moments m_1..m_n of mu |> nu from K_mu o K_nu: three reciprocals."""
-    k = k_transform(mu, n).series.compose(k_transform(nu, n).series)
+    """Moments m_1..m_n of mu |> nu from K_mu o K_nu: three reciprocals, one Horner composition."""
+    k = horner_compose(k_transform(mu, n).series, k_transform(nu, n).series)
     return moments_from_k(KTransform(k), n)
 
 

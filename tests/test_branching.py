@@ -197,6 +197,27 @@ def test_simulation_matches_k_link_series():
         assert abs(sim.means[0] - iterated(0.45)) <= 4 * sim.stderrs[0]
 
 
+@pytest.mark.parametrize(
+    "p, stops_early",
+    [((0.5, 0.3, 0.2), True), ((0.2, 0.3, 0.5), True), ((0, 0.5, 0.5), True), ((0.25, 0.5, 0.25), False)],
+)
+def test_phi_iterate_equals_the_plain_loop(p, stops_early, monkeypatch):
+    law, n = OffspringLaw(p), 2000
+    points = [0.3, -0.7 + 0.2j, 0.95j, -0.0, complex(0.0, -0.0), -1.0]
+    plain = []
+    for z in points:
+        val = complex(z)
+        for _ in range(n):
+            val = law.phi(val)
+        plain.append(val)
+    calls = []
+    phi = OffspringLaw.phi
+    monkeypatch.setattr(OffspringLaw, "phi", lambda self, z: calls.append(z) or phi(self, z))
+    got = [law.phi_iterate(z, n) for z in points]
+    assert [repr(v) for v in got] == [repr(v) for v in plain]  # repr tells -0.0 from 0.0
+    assert (len(calls) < n * len(points)) == stops_early
+
+
 def test_simulation_reproducible():
     law = OffspringLaw([0, 0.5, 0.5])
     a = simulate_gw(law, 4, 5000, [0.3], seed=5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,3 +146,20 @@ def test_output_is_valid_k():
     for _ in range(6):
         out = monotone_convolve(rand_atomic(rng, 4), rand_atomic(rng, 3), 32)
         assert validate_k(k_transform(out, 32)).all_ok
+
+
+def test_high_order_convolution_without_the_power_table():
+    n = 1024
+    mu = CircleMeasure.from_atoms([0.4, 2.9], [0.3, 0.7])
+    nu = CircleMeasure.from_atoms([1.1, 3.7, 5.2], [0.5, 0.2, 0.3])
+    got = monotone_convolve(mu, nu, n).moments(n)
+    assert np.max(np.abs(got - affine_mixture_convolve(mu, nu, n).moments(n))) <= 1e-12
+    # the (n + 1)^2 power table alone would be 16.8 MB
+    psi, k_nu = mu.psi_series(n), k_transform(nu, n).series
+    tracemalloc.start()
+    try:
+        psi.compose(k_nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import horner_compose
 
 from monoconv.errors import DomainError
-from monoconv.series import TruncatedSeries, horner
+from monoconv.series import TruncatedSeries, _power_table, horner
 
 
 def rand_series(rng, order):
@@ -71,6 +73,59 @@ def test_power_table_compose_matches_horner(outer_order, inner_order, seed, radi
     scale = horner_compose(TruncatedSeries(np.abs(f.coeffs)), TruncatedSeries(np.abs(g.coeffs)))
     gap = np.abs(got.coeffs - want.coeffs)
     assert np.all(gap <= 1e-12 * scale.coeffs.real + np.finfo(float).tiny)
+
+
+def _moduli_composition(f, g):
+    """|f| o |g| by Horner: bounds every partial sum of any composition route."""
+    return horner_compose(TruncatedSeries(np.abs(f.coeffs)), TruncatedSeries(np.abs(g.coeffs))).coeffs.real
+
+
+# every order up to 40, and n + 1 = 255..258 around the perfect square 16^2,
+# where the block size ceil(sqrt(n + 1)) steps from 16 to 17
+@pytest.mark.parametrize("order", [*range(41), 254, 255, 256, 257])
+def test_compose_matches_the_power_table(order):
+    rng = np.random.default_rng(order)
+    f = rand_series(rng, order)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    for trailing_zeros in (0, (order + 1) // 3):
+        c = rand_series(rng, order).coeffs.copy()
+        c[0] = 0.0
+        c[order + 1 - trailing_zeros :] = 0.0
+        g = TruncatedSeries(c)
+        got = f.compose(g)
+        assert got.order == order
+        # each route is within about n eps of the composition of the moduli
+        bound = 2 * max(order, 1) * eps * _moduli_composition(f, g) + tiny
+        assert np.all(np.abs(got.coeffs - f.coeffs @ _power_table(g.coeffs)) <= bound)
+
+
+def _fraction_compose(f, g):
+    """f(g) through order len(f) - 1 in exact rational arithmetic, by Horner."""
+    n = len(f) - 1
+    acc = [Fraction(0)] * (n + 1)
+    for ck in f[::-1]:
+        nxt = [Fraction(0)] * (n + 1)
+        nxt[0] = ck
+        for i, a in enumerate(acc):
+            for j in range(1, n + 1 - i):
+                nxt[i + j] += a * g[j]
+        acc = nxt
+    return acc
+
+
+def test_compose_matches_exact_rational_composition():
+    n = 48
+    rng = np.random.default_rng(48)
+    f, g = rng.uniform(-1, 1, n + 1), rng.uniform(-1, 1, n + 1)
+    g[0] = 0.0
+    # every float is a dyadic rational, so Fraction(x) is exact
+    exact = _fraction_compose([Fraction(x) for x in f], [Fraction(x) for x in g])
+    f, g = TruncatedSeries(f), TruncatedSeries(g)
+    got = f.compose(g).coeffs
+    # the error of got, rounded once more by float(); the imaginary parts stay 0
+    gap = np.array([float(Fraction(x) - e) for x, e in zip(got.real, exact)])
+    assert np.all(got.imag == 0)
+    assert np.all(np.abs(gap) <= n * np.finfo(float).eps * _moduli_composition(f, g))
 
 
 def test_compose_at_order_zero_keeps_the_constant():
