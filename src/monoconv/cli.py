@@ -1,7 +1,9 @@
 """Batch command line front end.
 
 Subcommands: convolve, evolve, embed, gw, counterexample, cfree-check,
-verify-ops.  Inputs are JSON files, outputs are JSON or CSV on stdout or
+verify-ops.  Inputs are JSON files.  Each subcommand returns its result, a
+dict or a CSV (header, rows) pair; one renderer turns it into JSON or CSV
+text and one writer puts that on stdout or, after the command has finished,
 at --out.  Identical invocations with identical seeds produce
 byte-identical output.
 
@@ -11,9 +13,10 @@ one.
 
 Exit codes: 0 success, 2 invalid input (malformed JSON, schema or
 validation errors, a truncation order above 4096, a gw run of more than
-10^5 generations), 3 mathematical domain errors, 4 numerical failures
-(step-size underflow, population overflow, a request too large to
-allocate).
+10^5 generations, an --out path that cannot be written: a missing
+directory or a directory itself), 3 mathematical domain errors, 4
+numerical failures (step-size underflow, population overflow, a request
+too large to allocate).
 """
 
 from __future__ import annotations
@@ -158,48 +161,42 @@ def _parse_times(text):
     return times
 
 
-# -- serialization -----------------------------------------------------------
+# -- output ------------------------------------------------------------------
+#
+# A subcommand returns its result: a dict, written as JSON, or a (header, rows)
+# pair of Python scalars, written as CSV.  ``main`` renders it once and writes
+# it once.
 
 
-def _jsonable(value):
+def _json_default(value):
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+def _render(result) -> str:
+    if isinstance(result, dict):
+        return json.dumps(result, indent=2, sort_keys=True, default=_json_default) + "\n"
+    header, rows = result
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+def _write(text, path):
+    """Write ``text`` to ``path`` (--out), or to stdout when there is none.
+
+    The file is opened only now, after the command has finished, so a
+    failing command leaves an existing file as it was.
+    """
+    if not path:
         sys.stdout.write(text)
-
-
-def _emit_json(obj, out_path):
-    _emit(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n", out_path)
-
-
-def _csv(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _fmt(v):
-    if isinstance(v, np.generic):
-        v = v.item()
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, complex):
-        return f"{v.real!r}{v.imag:+}j"
-    return str(v)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 # -- subcommands -------------------------------------------------------------
@@ -209,12 +206,10 @@ def _cmd_convolve(args):
     mu = _measure_from_obj(_load_json(args.mu), args.mu)
     nu = _measure_from_obj(_load_json(args.nu), args.nu)
     m = convolution.monotone_convolve(mu, nu, args.order).moments(args.order)
+    re, im = m.real.tolist(), m.imag.tolist()
     if args.format == "csv":
-        rows = [(k + 1, v.real, v.imag) for k, v in enumerate(m)]
-        _emit(_csv(("k", "re(m)", "im(m)"), rows), args.out)
-    else:
-        _emit_json({"order": args.order, "moments": list(m)}, args.out)
-    return 0
+        return ("k", "re(m)", "im(m)"), zip(range(1, len(re) + 1), re, im)
+    return {"order": args.order, "moments": [[a, b] for a, b in zip(re, im)]}
 
 
 def _cmd_evolve(args):
@@ -239,34 +234,28 @@ def _cmd_evolve(args):
                 ref = branching.yule_flow(yule[0], yule[1], t, z)
                 row += [ref.real, ref.imag]
             rows.append(row)
-    _emit(_csv(header, rows), args.out)
-    return 0
+    return header, rows
 
 
 def _cmd_embed(args):
     k = _k_from_obj(_load_json(args.k), args.k, args.order)
-    _emit_json(dataclasses.asdict(embedding.embedding_test(k)), args.out)
-    return 0
+    return dataclasses.asdict(embedding.embedding_test(k))
 
 
 def _cmd_gw(args):
     law = _law_from_obj(_load_json(args.law), args.law)
     zs = [_parse_point(text) for text in args.z or ["0.3", "0.5", "0.8"]]
     sim = branching.simulate_gw(law, args.n, args.trials, zs, args.seed)
+    header = ("z", "re(empirical)", "im(empirical)", "stderr", "re(theory)", "im(theory)")
     rows = [
-        (z, m.real, m.imag, e, th.real, th.imag)
+        (f"{z.real!r}{z.imag:+}j", m.real, m.imag, e, th.real, th.imag)
         for z, m, e, th in zip(sim.z_samples, sim.means, sim.stderrs, sim.theory)
     ]
-    _emit(
-        _csv(("z", "re(empirical)", "im(empirical)", "stderr", "re(theory)", "im(theory)"), rows),
-        args.out,
-    )
-    return 0
+    return header, rows
 
 
 def _cmd_counterexample(args):
-    _emit_json(dataclasses.asdict(opmodel.sandwich_counterexample(args.a, args.b)), args.out)
-    return 0
+    return dataclasses.asdict(opmodel.sandwich_counterexample(args.a, args.b))
 
 
 def _cmd_cfree_check(args):
@@ -276,26 +265,21 @@ def _cmd_cfree_check(args):
     phi1 = MomentFunctional([Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))) for _ in range(n_mom)])
     phi2 = MomentFunctional([Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))) for _ in range(n_mom)])
     defect, count = monotone_specialization_defect(phi1, phi2, args.max_len, args.max_power)
-    _emit_json(
-        {
-            "max_defect": float(defect),
-            "exact_zero": defect == 0,
-            "words_checked": count,
-            "max_len": args.max_len,
-            "max_power": args.max_power,
-            "seed": args.seed,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "max_defect": float(defect),
+        "exact_zero": defect == 0,
+        "words_checked": count,
+        "max_len": args.max_len,
+        "max_power": args.max_power,
+        "seed": args.seed,
+    }
 
 
 def _cmd_verify_ops(args):
     report = opmodel.random_composition_suite(seed=args.seed, cases=args.cases)
     report["pass"] = report["max_defect"] <= 1e-10
     report["tolerance"] = 1e-10
-    _emit_json(report, args.out)
-    return 0
+    return report
 
 
 # -- parser ------------------------------------------------------------------
@@ -381,7 +365,8 @@ def main(argv=None) -> int:
             raise InputError(f"--order: must be <= {_MAX_ORDER}, got {args.order}")
         if getattr(args, "n", 0) > _MAX_GENERATIONS:
             raise InputError(f"--n: must be <= {_MAX_GENERATIONS}, got {args.n}")
-        return args.func(args)
+        _write(_render(args.func(args)), args.out)
+        return 0
     except DomainError as exc:
         return _fail(EXIT_DOMAIN, "domain-error", str(exc))
     except (StepSizeUnderflowError, SupercriticalOverflowError) as exc:

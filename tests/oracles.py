@@ -20,6 +20,10 @@ the library's baby-step/giant-step composition.
 ``gw_exact_law`` is the law of a Galton-Watson generation Y_n read off the
 iterated generating function on roots of unity by one FFT, where the
 simulator draws from convolution powers of the offspring law.
+``jsonable`` and ``csv_cell`` are the command line's former output
+formatting, a walk over the payload and a per-cell type dispatch; the one
+renderer, with a JSON ``default`` hook and ``str`` per cell, must write the
+same bytes.
 """
 
 from itertools import groupby
@@ -183,3 +187,27 @@ def gw_exact_law(law, n: int) -> np.ndarray:
     roots = np.exp(2j * np.pi * np.arange(size) / size)
     values = np.array([law.phi_iterate(w, n) for w in roots])
     return np.clip(np.fft.fft(values).real / size, 0.0, None)
+
+
+def jsonable(value):
+    """``value`` with complex numbers as [re, im] pairs and numpy scalars as Python ones."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    return value
+
+
+def csv_cell(v) -> str:
+    """One CSV cell: a float as its repr, a complex as re+imj, anything else by str."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, complex):
+        return f"{v.real!r}{v.imag:+}j"
+    return str(v)

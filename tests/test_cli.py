@@ -1,7 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import csv_cell, jsonable
 
 from monoconv import cli
 from monoconv.cli import main
@@ -263,6 +267,99 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     rep = json.loads((tmp_path / "r.json").read_text())
     assert abs(rep["second_moment_xyx"] - (1 + 0.09 + 0.09)) < 1e-10
+
+
+def _every_subcommand(tmp_path, two_point):
+    gen = write(tmp_path, "gen.json", {"b": 0.2, "rho": [{"angle": 1.0, "weight": 0.5}]})
+    law = write(tmp_path, "law.json", {"p": [0.0, 0.5, 0.5]})
+    return [
+        ["convolve", two_point, two_point, "--order", "6"],
+        ["convolve", two_point, two_point, "--order", "6", "--format", "csv"],
+        ["evolve", gen, "--t", "0.5,1", "--z", "0.1", "--z", "0.2+0.1j"],
+        ["embed", two_point, "--order", "8"],
+        ["gw", law, "--n", "3", "--trials", "200", "--seed", "1"],
+        ["counterexample", "--a", "0.3", "--b", "0.4"],
+        ["cfree-check", "--max-len", "3", "--max-power", "2"],
+        ["verify-ops", "--cases", "3"],
+    ]
+
+
+def test_out_writes_exactly_what_stdout_would(tmp_path, capsys, two_point):
+    calls = _every_subcommand(tmp_path, two_point)
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert {argv[0] for argv in calls} == set(subparsers.choices)
+    for i, argv in enumerate(calls):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        path = tmp_path / f"out{i}"
+        assert run(capsys, argv + ["--out", str(path)]) == (0, "", "")
+        assert path.read_bytes() == out.encode("utf-8")
+
+
+def test_failed_command_leaves_out_file_as_it_was(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text("kept\n")
+    code, out, _ = run(capsys, ["counterexample", "--a", "0", "--b", "0.5", "--out", str(path)])
+    assert (code, out) == (3, "")
+    assert path.read_text() == "kept\n"
+
+
+# The renderer must write what the former per-command formatting wrote
+# (``oracles.jsonable`` and ``oracles.csv_cell``), byte for byte.
+PAYLOAD = {
+    "b_float": 0.1,
+    "a_np_float": np.float64(1e-7),
+    "int": 3,
+    "np_int": np.int64(-12),
+    "complex": 0.5 - 0.25j,
+    "np_complex": np.complex128(-0.0 + 1e300j),
+    "nan": math.nan,
+    "inf": np.float64(-math.inf),
+    "none": None,
+    "flags": (True, False),
+    "nested": {"list": [np.float64(2.5), (1, np.int64(2)), [np.complex128(1j)]], "empty": []},
+    "mixed": [0.1 + 0.2, np.float64(1e16), 1e-5, np.int64(2**62)],
+}
+
+
+def test_render_json_matches_reference():
+    expected = json.dumps(jsonable(PAYLOAD), indent=2, sort_keys=True) + "\n"
+    assert cli._render(PAYLOAD) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats(), st.integers(-(2**63), 2**63 - 1)), max_size=6))
+def test_render_json_matches_reference_on_random_scalars(triples):
+    payload = {
+        "py": [(x, complex(x, y), n) for x, y, n in triples],
+        "np": [[np.float64(x), np.complex128(complex(x, y)), np.int64(n)] for x, y, n in triples],
+    }
+    assert cli._render(payload) == json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(), st.floats(), st.booleans(), st.none()), max_size=6))
+def test_render_csv_matches_reference(rows):
+    header = ("k", "x", "flag", "nothing")
+    lines = cli._render((header, rows)).split("\n")
+    assert lines.pop() == ""
+    assert lines[0] == "k,x,flag,nothing"
+    assert [line.split(",") for line in lines[1:]] == [[csv_cell(v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("z", [0.3, -0.0 - 0.0j, complex(0.1, -2e-17), complex(math.nan, math.inf), -1e-300 + 1e300j])
+def test_gw_point_cell_matches_reference(tmp_path, capsys, monkeypatch, z):
+    # the z column is the only complex cell; gw formats it itself
+    def simulate_gw(law, n, trials, zs, seed):
+        return cli.branching.GWSimulation(
+            z_samples=(complex(z),), means=(0j,), stderrs=(0.0,), theory=(0j,), n_steps=n, trials=trials, seed=seed
+        )
+
+    monkeypatch.setattr(cli.branching, "simulate_gw", simulate_gw)
+    law = write(tmp_path, "law.json", {"p": [0.0, 1.0]})
+    code, out, _ = run(capsys, ["gw", law, "--n", "1", "--trials", "1"])
+    assert code == 0
+    assert out.splitlines()[1].split(",")[0] == csv_cell(complex(z))
 
 
 def test_reused_parser_leaks_no_state_between_calls(tmp_path, capsys, monkeypatch, two_point):

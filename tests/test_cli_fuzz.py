@@ -6,7 +6,9 @@ value, an unknown or missing option, a missing or unknown subcommand).
 Each case names the files it needs as raw JSON text, so malformed JSON,
 NaN, Infinity and integers too large for a float reach the parser as a
 user would write them.  ``{name}`` in the arguments is replaced by the
-path of that file.  A case may end with the exact message it must print.
+path of that file, and ``{dir}`` by the directory that holds them, for an
+--out that cannot be written.  A case may end with the exact message it
+must print.
 """
 
 import json
@@ -44,6 +46,8 @@ CASES = [
     ("convolve-order-0", ["convolve", "{unit}", "{unit}", "--order", "0"], {}, 2),
     ("convolve-order-negative", ["convolve", "{mu}", "{mu}", "--order", "-3"], {"mu": TWO_ATOMS}, 2),
     ("convolve-order-above-cap", ["convolve", "{mu}", "{mu}", "--order", "100000"], {"mu": TWO_ATOMS}, 2, "--order: must be <= 4096, got 100000"),
+    ("convolve-out-missing-dir", ["convolve", "{unit}", "{unit}", "--out", "{dir}/no-such-dir/m.json"], {}, 2),
+    ("convolve-out-is-dir", ["convolve", "{unit}", "{unit}", "--out", "{dir}"], {}, 2),
     # evolve: generators, points, times and tolerance
     ("evolve-nan-rate", ["evolve", "{gen}", "--t", "1", "--z", "0.5"], {"gen": '{"rates": {"2": NaN}}'}, 2),
     ("evolve-inf-rate", ["evolve", "{gen}", "--t", "1", "--z", "0.5"], {"gen": '{"rates": {"2": Infinity}}'}, 2),
@@ -124,6 +128,8 @@ CASES = [
     ("gw-text-point", ["gw", "{law}", "--n", "2", "--trials", "10", "--z", "abc"], {"law": LAW}, 2),
     ("gw-z-malformed", ["gw", "{law}", "--n", "2", "--trials", "10", "--z", "0.3+"], {"law": LAW}, 2, "--z: cannot parse point '0.3+'"),
     ("gw-overflow", ["gw", "{law}", "--n", "20", "--trials", "10"], {"law": '{"p": [0, 0, 0, 0, 1.0]}'}, 4),
+    ("gw-out-missing-dir", ["gw", "{law}", "--n", "2", "--trials", "10", "--out", "{dir}/no-such-dir/g.csv"], {"law": LAW}, 2),
+    ("gw-out-is-dir", ["gw", "{law}", "--n", "2", "--trials", "10", "--out", "{dir}"], {"law": LAW}, 2),
     # counterexample, cfree-check and verify-ops: numbers out of range
     ("counterexample-nan", ["counterexample", "--a", "nan", "--b", "0.5"], {}, 3),
     ("counterexample-inf", ["counterexample", "--a", "0.5", "--b", "inf"], {}, 3),
@@ -173,7 +179,7 @@ def _params(name, argv, files, code, message=None):
     ids=[c[0] for c in CASES + TOP_LEVEL_CASES],
 )
 def test_bad_input_gives_one_json_error_line(tmp_path, capsys, argv, files, code, message):
-    paths = {"unit": tmp_path / "unit.json"}
+    paths = {"unit": tmp_path / "unit.json", "dir": tmp_path}
     paths["unit"].write_text(UNIT)
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.json"
