@@ -30,9 +30,18 @@ def atoms(angles, weights):
     return a, w
 
 
+# Angles split as hi + lo with hi a multiple of 2^-38: hi < 2*pi < 2^3 then has
+# at most 41 significant bits, so k * hi is exact for k <= 2^12, the CLI's
+# order cap, and e^{ik angle} carries no rounding of the product k * angle.
+_SPLIT = 2.0**38
+
+
 def atom_moments(angles, weights, n: int) -> np.ndarray:
-    """sum_j w_j e^{i k angle_j} for k = 1..n."""
-    return np.exp(1j * np.outer(np.arange(1, n + 1), angles)) @ weights
+    """sum_j w_j e^{i k angle_j} for k = 1..n, as e^{ik hi} e^{ik lo} with angle = hi + lo."""
+    k = np.arange(1, n + 1)
+    hi = np.round(np.multiply(angles, _SPLIT)) / _SPLIT
+    lo = np.subtract(angles, hi)
+    return (np.exp(1j * np.outer(k, hi)) * np.exp(1j * np.outer(k, lo))) @ weights
 
 
 def ring_grid(radii, n_angles: int) -> np.ndarray:

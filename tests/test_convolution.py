@@ -148,6 +148,19 @@ def test_output_is_valid_k():
         assert validate_k(k_transform(out, 32)).all_ok
 
 
+def test_order_256_convolution_of_close_atoms_is_a_valid_k_transform():
+    # with e^{ik angle} rounded from the product k * angle, nu's moments were
+    # off by 5.5e-14, the composition amplified that to 1e-10 in m_256 and
+    # the Toeplitz section's least eigenvalue read -1.06e-9, below the floor
+    mu = CircleMeasure.from_atoms([4.12958619870556, 3.761658768301539], [0.773321102428033, 0.22667889757196705])
+    nu = CircleMeasure.from_atoms(
+        [4.061193127367557, 3.9391912710804413, 4.62274141648288],
+        [0.19977447422545122, 0.7943772752400603, 0.005848250534488497],
+    )
+    report = validate_k(k_transform(monotone_convolve(mu, nu, 256), 256))
+    assert report.all_ok, report
+
+
 def test_high_order_convolution_without_the_power_table():
     n = 1024
     mu = CircleMeasure.from_atoms([0.4, 2.9], [0.3, 0.7])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoconv.errors import DomainError
 from monoconv.measure import (
@@ -25,6 +27,27 @@ def rand_atomic(rng, max_atoms=8, min_atoms=1):
 
 def test_moments_dirac():
     assert np.allclose(CircleMeasure.dirac(0.0).moments(10), np.ones(10), atol=0)
+
+
+def long_double_moments(mu, n):
+    """m_1..m_n of an atomic measure with k * angle and e^{ik angle} in long double."""
+    k = np.arange(1, n + 1, dtype=np.longdouble)
+    angles = np.asarray(mu.atoms[0], dtype=np.longdouble)
+    return np.exp(1j * np.outer(k, angles)) @ np.asarray(mu.atoms[1], dtype=np.longdouble)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True), min_size=1, max_size=4),
+    st.data(),
+    st.sampled_from([16, 256, 4096]),
+)
+def test_atomic_moments_match_long_double(angles, data, n):
+    # the rounding of k * angle alone would reach about 2 n eps at order n
+    raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(angles), max_size=len(angles)))
+    mu = CircleMeasure.from_atoms(angles, np.array(raw) / sum(raw))
+    err = np.max(np.abs(mu.moments(n) - long_double_moments(mu, n)))
+    assert err < n * np.finfo(float).eps
 
 
 def test_moments_two_point_symmetric():
@@ -155,12 +178,12 @@ def test_round_trip_random_atomic():
             mu = rand_atomic(rng, max_atoms=5, min_atoms=2)
             m = moments_from_k(k_transform(mu, n), n)
             assert np.max(np.abs(m - mu.moments(n))) < n * eps
-    # a point mass skips psi -> K; its reference moments e^{ik angle} carry
-    # the rounding of k * angle, up to about 2 n eps
+    # a point mass skips psi -> K: K = e^{i angle} z, and its moments are
+    # the powers of e^{i angle}, against e^{ik angle} with k * angle exact
     for n in orders:
         mu = CircleMeasure.dirac(rng.uniform(0, 2 * np.pi))
         m = moments_from_k(k_transform(mu, n), n)
-        assert np.max(np.abs(m - mu.moments(n))) < 3 * n * eps
+        assert np.max(np.abs(m - mu.moments(n))) < n * eps
 
 
 # -- validation --------------------------------------------------------------
