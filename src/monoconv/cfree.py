@@ -29,7 +29,9 @@ Specializations: psi_i = phi_i gives the free product, psi_i = delta
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as _iter_product
 from numbers import Rational
 
@@ -46,6 +48,10 @@ __all__ = [
 ]
 
 _MAX_WORD_LEN = 16
+_MAX_SWEEP_WORDS = 10**6
+# a sweep of rational moments carries s^N in the values of words of total
+# power N, so N, up to max_len * max_power, is capped too
+_MAX_SWEEP_POWER = 256
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,12 @@ class MomentFunctional:
             f"moment of order {k} required but only {len(self.moments)} stored"
         )
 
+    def _dilated(self, s: int, order: int) -> "MomentFunctional":
+        """The functional of s*x through ``order``, m_k -> s^k m_k, as ints; s must clear every denominator."""
+        return MomentFunctional(
+            [m.numerator * (s // m.denominator) * s ** (k - 1) for k, m in enumerate(self.moments[:order], 1)]
+        )
+
     def __repr__(self):
         return f"MomentFunctional(n={len(self.moments)})"
 
@@ -155,6 +167,10 @@ class _DeltaFunctional(MomentFunctional):
         if k < 0:
             raise ValueError(f"moment order must be >= 0, got {k}")
         return 1 if k == 0 else 0
+
+    def _dilated(self, s: int, order: int) -> "MomentFunctional":
+        """delta of s*x is delta."""
+        return self
 
     def __repr__(self):
         return "MomentFunctional.delta()"
@@ -354,11 +370,27 @@ def canonical_words(max_len: int, max_power: int):
 def monotone_specialization_defect(phi1, phi2, max_len: int = 8, max_power: int = 4):
     """Sweep the identity cfree(phi1, delta; phi2, phi2) = monotone(phi1, phi2).
 
-    Returns (max absolute defect, words checked).  With rational moments
-    the defect is exactly zero.  Both bounds must be >= 1, and max_len at
-    most the expansion cap.
+    Returns (max absolute defect, words checked); the words are all
+    2 * sum_{k <= max_len} max_power^k canonical words.  Both bounds must be
+    >= 1, max_len at most the expansion cap, the word count at most 10^6
+    and the largest total power of a word, max_len * max_power, at most
+    256.
+
+    With rational moments the sweep runs in int arithmetic on x -> s*x,
+    where s is the lcm of the moment denominators: m_k becomes the integer
+    s^k m_k.  Both sides are weighted-homogeneous (a word of total power N
+    is a sum of moment monomials of total order N), so a gap on the
+    rescaled moments is s^N times the true one, and the defect returned is
+    that gap divided by s^N: exact, and a ``Fraction`` when nonzero.  Float
+    or complex moments take s = 1 unchanged.
     """
     _check_sweep_bounds(max_len, max_power)
+    order = max_len * max_power  # no word asks for a higher moment
+    moments = phi1.moments[:order] + phi2.moments[:order]
+    s = 1
+    if all(isinstance(m, Rational) for m in moments):
+        s = math.lcm(*(m.denominator for m in moments))
+        phi1, phi2 = phi1._dilated(s, order), phi2._dilated(s, order)
     evaluator = CFreeEvaluator(phi1, MomentFunctional.delta(), phi2, phi2)
     worst = 0
     count = 0
@@ -366,7 +398,10 @@ def monotone_specialization_defect(phi1, phi2, max_len: int = 8, max_power: int 
         lhs = evaluator.eval(word)
         rhs = monotone_eval(word, phi1, phi2)
         if lhs != rhs:
-            worst = max(worst, abs(lhs - rhs))
+            gap = abs(lhs - rhs)
+            if isinstance(gap, Rational):
+                gap = Fraction(gap, s ** sum(p for _, p in word.letters))
+            worst = max(worst, gap)
         count += 1
     return worst, count
 
@@ -377,3 +412,10 @@ def _check_sweep_bounds(max_len, max_power):
         raise ValueError("word length and power bounds must be >= 1")
     if max_len > _MAX_WORD_LEN:
         raise DomainError(f"word length {max_len} exceeds the expansion cap {_MAX_WORD_LEN}")
+    words = 2 * sum(max_power**k for k in range(1, max_len + 1))
+    if words > _MAX_SWEEP_WORDS:
+        raise DomainError(f"sweep of {words} words exceeds the cap {_MAX_SWEEP_WORDS}")
+    if max_len * max_power > _MAX_SWEEP_POWER:
+        raise DomainError(
+            f"sweep words of total power up to {max_len * max_power} exceed the cap {_MAX_SWEEP_POWER}"
+        )

@@ -10,6 +10,13 @@ canonical form of a cfree word, computed apart from ``Word``.
 letter's polynomial, re-deriving psi tails, phi values and merges (full
 polynomial products) at each state; the interned evaluator must agree with
 it exactly.
+``CumulantCFree`` is the same functional by the moment-cumulant formula of
+Bożejko, Leinert & Speicher (Pacific J. Math. 175, 1996): a word is spelled
+out one generator per position, and its value is a sum over the
+non-crossing partitions whose blocks each stay within one algebra; an outer
+block takes its algebra's c-free cumulant R^(phi, psi) and a block nested
+inside another takes the free cumulant of that algebra's psi.  It shares
+no code with either recursion.
 ``iterated_generator`` reaches u/u(0) without the Koenigs function: it
 iterates -K^n/(K^n)' to a Cauchy tolerance and takes u(0) by Richardson
 extrapolation over the two inner grid rings.  ``k_route_convolve`` is the
@@ -26,7 +33,8 @@ renderer, with a JSON ``default`` hook and ``str`` per cell, must write the
 same bytes.
 """
 
-from itertools import groupby
+from fractions import Fraction
+from itertools import combinations, groupby, product
 
 import numpy as np
 
@@ -135,6 +143,75 @@ def _poly_mul(a, b):
             if cb != 0:
                 out[i + j] = out[i + j] + ca * cb
     return tuple(out)
+
+
+def noncrossing_partitions(points, algebra):
+    """Non-crossing partitions of the ascending ``points``, each block within one algebra.
+
+    The block of the first point takes some later points of its algebra;
+    the points between two of its elements, and those after its last one,
+    are then partitioned on their own, so no two blocks cross.
+    """
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    same = [p for p in rest if algebra[p] == algebra[first]]
+    for r in range(len(same) + 1):
+        for others in combinations(same, r):
+            block = (first,) + others
+            bounds = list(zip(block, block[1:])) + [(block[-1], len(algebra))]
+            segments = [tuple(p for p in rest if lo < p < hi) for lo, hi in bounds]
+            for parts in product(*(list(noncrossing_partitions(seg, algebra)) for seg in segments)):
+                yield (block,) + tuple(b for part in parts for b in part)
+
+
+def _partition_weight(blocks, algebra, outer, inner):
+    """Product over blocks of outer[alg][size], or inner[alg][size] for a block nested in another."""
+    weight = Fraction(1)
+    for v in blocks:
+        nested = any(min(w) < v[0] < max(w) for w in blocks if w is not v)
+        weight *= (inner if nested else outer)[algebra[v[0]]][len(v)]
+    return weight
+
+
+def _one_algebra_cumulants(moment, order, inner=None):
+    """c[1..order] from moment(k) = sum over NC(k) of c per outer block and inner per nested block.
+
+    With no ``inner`` table, nested blocks take c as well: the free cumulants.
+    """
+    cumulants = {}
+    outer, nested = {1: cumulants}, {1: cumulants if inner is None else inner}
+    for k in range(1, order + 1):
+        ones = [1] * k
+        rest = sum(
+            _partition_weight(blocks, ones, outer, nested)
+            for blocks in noncrossing_partitions(tuple(range(k)), ones)
+            if len(blocks) > 1
+        )
+        cumulants[k] = moment(k) - rest
+    return cumulants
+
+
+class CumulantCFree:
+    """Two-state product functional by the c-free moment-cumulant formula, to generator order ``order``."""
+
+    def __init__(self, phi1, psi1, phi2, psi2, order):
+        self._free = {1: _one_algebra_cumulants(psi1, order), 2: _one_algebra_cumulants(psi2, order)}
+        self._cfree = {
+            1: _one_algebra_cumulants(phi1, order, self._free[1]),
+            2: _one_algebra_cumulants(phi2, order, self._free[2]),
+        }
+
+    def eval(self, word):
+        algebra = [alg for alg, p in word.letters for _ in range(p)]
+        return sum(
+            (
+                _partition_weight(blocks, algebra, self._cfree, self._free)
+                for blocks in noncrossing_partitions(tuple(range(len(algebra))), algebra)
+            ),
+            Fraction(0),
+        )
 
 
 _RING_ANGLES = 8

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import NestedTupleCFree, merge_and_drop
+from oracles import CumulantCFree, NestedTupleCFree, merge_and_drop
 
 import monoconv.cfree as cfree
 from monoconv.cfree import (
@@ -164,6 +165,97 @@ def test_monotone_specialization_in_floats():
         assert abs(ev.eval(word) - expect) <= 1e-12 * (1 + abs(expect))
 
 
+def moment_arithmetic_sweep(phi1, phi2, max_len, max_power):
+    """The sweep's max defect in the moments' own arithmetic, with no rescaling."""
+    evaluator = CFreeEvaluator(phi1, MomentFunctional.delta(), phi2, phi2)
+    return max(
+        abs(evaluator.eval(word) - cfree.monotone_eval(word, phi1, phi2))
+        for word in canonical_words(max_len, max_power)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    moments=st.lists(st.fractions(-3, 3, max_denominator=12), min_size=24, max_size=24),
+    max_len=st.integers(1, 4),
+    max_power=st.integers(1, 3),
+    broken_orders=st.sets(st.integers(1, 12), max_size=3),
+    scale=st.integers(-2, 2),
+)
+def test_rescaled_sweep_defect_is_the_exact_fraction_defect(moments, max_len, max_power, broken_orders, scale):
+    # an error of weight N on words of total power N stays homogeneous, so
+    # the integer sweep must recover the exact rational defect
+    phi1, phi2 = MomentFunctional(moments[:12]), MomentFunctional(moments[12:])
+    monotone = cfree.monotone_eval
+
+    def broken(word, a, b):
+        order = sum(p for _, p in word.letters)
+        error = scale * a(order - 1) * b(1) if order in broken_orders else 0
+        return monotone(word, a, b) + error
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cfree, "monotone_eval", broken)
+        expect = moment_arithmetic_sweep(phi1, phi2, max_len, max_power)
+        got, count = monotone_specialization_defect(phi1, phi2, max_len, max_power)
+    assert got == expect
+    assert expect == 0 or type(got) is Fraction
+    assert count == sum(2 * max_power**k for k in range(1, max_len + 1))
+
+
+def _unit_moments(rng, kind):
+    re_part, im_part = rng.uniform(-1, 1, (2, 16))
+    return MomentFunctional([complex(a, b) if kind is complex else kind(a) for a, b in zip(re_part, im_part)])
+
+
+@pytest.mark.parametrize("kinds", [(float, float), (complex, complex), (Fraction, float)])
+def test_inexact_sweeps_run_unscaled(monkeypatch, kinds):
+    rng = np.random.default_rng(5)
+    phi1, phi2 = (_unit_moments(rng, kind) for kind in kinds)
+    monotone = cfree.monotone_eval
+    seen = []
+
+    def recording(word, a, b):
+        seen.append((a, b))
+        return monotone(word, a, b)
+
+    monkeypatch.setattr(cfree, "monotone_eval", recording)
+    defect, count = monotone_specialization_defect(phi1, phi2, max_len=5, max_power=3)
+    assert len(seen) == count and all(a is phi1 and b is phi2 for a, b in seen)
+    assert defect <= 1e-12  # test_monotone_specialization_in_floats' bound for |value| <= 1
+
+
+def test_short_moment_list_raises_the_unscaled_error():
+    rng = np.random.default_rng(6)
+    phi1, phi2 = frac_moments(rng, 3), frac_moments(rng, 5)
+    with pytest.raises(DomainError, match="moment of order 4 required but only 3 stored") as unscaled:
+        moment_arithmetic_sweep(phi1, phi2, 3, 2)
+    with pytest.raises(DomainError, match=f"^{re.escape(str(unscaled.value))}$"):
+        monotone_specialization_defect(phi1, phi2, 3, 2)
+
+
+def test_integer_moments_sweep_unscaled(monkeypatch):
+    # criterion 09's moments: every denominator is 1, so s = 1
+    rng = np.random.default_rng(9)
+    phi1 = MomentFunctional([int(rng.integers(-5, 6)) for _ in range(32)])
+    phi2 = MomentFunctional([int(rng.integers(-5, 6)) for _ in range(32)])
+    monotone = cfree.monotone_eval
+    seen = set()
+
+    def recording(word, a, b):
+        seen.add((a.moments, b.moments))
+        return monotone(word, a, b)
+
+    monkeypatch.setattr(cfree, "monotone_eval", recording)
+    assert monotone_specialization_defect(phi1, phi2, max_len=4, max_power=3) == (0, 240)
+    assert seen == {(phi1.moments[:12], phi2.moments[:12])}  # 12 = 4 * 3, the highest order asked
+
+
+def test_delta_moments_sweep_as_delta():
+    # delta stores no moments but vanishes at every order, rescaled or not
+    phi2 = frac_moments(np.random.default_rng(7), 6)
+    assert monotone_specialization_defect(MomentFunctional.delta(), phi2, max_len=3, max_power=2) == (0, 28)
+
+
 def test_free_specialization_swap_symmetry():
     rng = np.random.default_rng(4)
     phi1 = frac_moments(rng, 40)
@@ -218,6 +310,30 @@ def test_sweep_rejects_length_above_cap_before_evaluating():
     with pytest.raises(DomainError, match="word length 17 exceeds the expansion cap 16"):
         monotone_specialization_defect(phi, phi, max_len=17, max_power=1)
     assert phi.asked == []
+
+
+@pytest.mark.parametrize(
+    "max_len, max_power, message",
+    [
+        (16, 9, "sweep of 4169295424916640 words exceeds the cap 1000000"),
+        (1, 10**9, "sweep of 2000000000 words exceeds the cap 1000000"),
+    ],
+)
+def test_sweep_rejects_word_count_above_cap_before_evaluating(max_len, max_power, message):
+    phi = RecordingFunctional([1] * 40)
+    with pytest.raises(DomainError, match=message):
+        monotone_specialization_defect(phi, phi, max_len=max_len, max_power=max_power)
+    assert phi.asked == []
+
+
+def test_sweep_caps_admit_criterion_09_and_reject_just_above():
+    cfree._check_sweep_bounds(8, 4)  # criterion 09: 174,760 words
+    cfree._check_sweep_bounds(8, 5)  # 976,560 words
+    cfree._check_sweep_bounds(1, 256)
+    with pytest.raises(DomainError, match="sweep of 4882810 words exceeds the cap 1000000"):
+        cfree._check_sweep_bounds(9, 5)
+    with pytest.raises(DomainError, match="sweep words of total power up to 257 exceed the cap 256"):
+        cfree._check_sweep_bounds(1, 257)
 
 
 @pytest.mark.parametrize(
@@ -330,6 +446,26 @@ def test_short_moment_list_error_names_the_merged_order():
         NestedTupleCFree(phi, phi, phi, phi).eval(word)
     with pytest.raises(DomainError, match="moment of order 4 required but only 3 stored"):
         CFreeEvaluator(phi, phi, phi, phi).eval(word)
+
+
+# -- interned evaluator against the moment-cumulant formula ------------------------
+
+
+@pytest.mark.parametrize("specialization", ["free", "boolean", "monotone", "independent"])
+def test_evaluator_matches_cumulant_oracle(specialization):
+    rng = np.random.default_rng(11)
+    phi1, psi1, phi2, psi2 = (frac_moments(rng, 6) for _ in range(4))
+    delta = MomentFunctional.delta()
+    functionals = {
+        "free": (phi1, phi1, phi2, phi2),
+        "boolean": (phi1, delta, phi2, delta),
+        "monotone": (phi1, delta, phi2, phi2),
+        "independent": (phi1, psi1, phi2, psi2),
+    }[specialization]
+    evaluator = CFreeEvaluator(*functionals)
+    oracle = CumulantCFree(*functionals, order=6)  # 3 letters of power 2 in one algebra
+    for word in canonical_words(5, 2):
+        assert evaluator.eval(word) == oracle.eval(word)
 
 
 # -- bridge to measures and operators ----------------------------------------------

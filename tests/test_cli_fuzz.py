@@ -141,6 +141,9 @@ CASES = [
     ("cfree-check-negative-seed", ["cfree-check", "--max-len", "2", "--seed", "-1"], {}, 2, "--seed: must be >= 0, got -1"),
     ("cfree-check-len-above-cap", ["cfree-check", "--max-len", "17", "--max-power", "2"], {}, 3),
     ("cfree-check-len-huge", ["cfree-check", "--max-len", "1000000"], {}, 3),
+    ("cfree-check-words-above-cap", ["cfree-check", "--max-len", "16", "--max-power", "9"], {}, 3, "sweep of 4169295424916640 words exceeds the cap 1000000"),
+    ("cfree-check-power-huge", ["cfree-check", "--max-len", "1", "--max-power", "1000000000"], {}, 3, "sweep of 2000000000 words exceeds the cap 1000000"),
+    ("cfree-check-power-above-cap", ["cfree-check", "--max-len", "2", "--max-power", "129"], {}, 3, "sweep words of total power up to 258 exceed the cap 256"),
     ("verify-ops-cases-0", ["verify-ops", "--cases", "0"], {}, 2),
     ("verify-ops-cases-negative", ["verify-ops", "--cases", "-1"], {}, 2),
     ("verify-ops-negative-seed", ["verify-ops", "--cases", "1", "--seed", "-1"], {}, 2, "--seed: must be >= 0, got -1"),
