@@ -112,20 +112,30 @@ class BranchingGenerator:
     def beta(self) -> complex:
         return complex(self.alpha)
 
+    def _u(self, z: np.ndarray):
+        """u(z) at a complex array, without a disk check; the float alpha
+        when there are no rates."""
+        val = self._alpha
+        for j, lam in self._rates:
+            val = val - lam * z ** (j - 1)
+        return val
+
     def eval(self, z):
-        """u(z) = alpha - sum_j lambda_j z^{j-1}."""
+        """u(z) = alpha - sum_j lambda_j z^{j-1} for |z| < 1 (a ``DomainError``
+        otherwise)."""
         z = np.asarray(z, dtype=complex)
         if (np.abs(z) >= 1.0).any():
             raise DomainError("generator is defined on the open unit disk")
-        val = np.full_like(z, self._alpha)
-        for j, lam in self._rates:
-            val = val - lam * z ** (j - 1)
+        val = np.full_like(z, self._u(z))  # the shape of z, also without rates
         return val if val.ndim else complex(val)
 
     def vector_field_at(self, z):
-        """v(z) = sum_j lambda_j z^j - alpha z."""
-        out = -np.asarray(z, dtype=complex) * self.eval(z)
-        return out if np.ndim(out) else complex(out)
+        """v(z) = sum_j lambda_j z^j - alpha z, without a disk check (see
+        :meth:`HerglotzGenerator.vector_field_at
+        <monoconv.generator.HerglotzGenerator.vector_field_at>`)."""
+        z = np.asarray(z, dtype=complex)
+        out = -z * self._u(z)
+        return out if out.ndim else complex(out)
 
     def series(self, n: int = DEFAULT_ORDER) -> TruncatedSeries:
         c = np.zeros(n + 1, dtype=np.complex128)

@@ -34,7 +34,7 @@ class HerglotzGenerator:
         Atoms of the representing measure, weights >= 0.
     """
 
-    __slots__ = ("b", "_angles", "_weights", "_omega")
+    __slots__ = ("b", "_angles", "_weights", "_omega", "_shift", "_two_w_omega")
 
     def __init__(self, b: float = 0.0, rho=()):
         b = float(b)
@@ -43,8 +43,14 @@ class HerglotzGenerator:
         pairs = list(rho)
         self.b = b
         self._angles, self._weights = atoms([t for t, _ in pairs], [w for _, w in pairs])
-        self._omega = np.exp(1j * self._angles)  # the atoms e^{i angle_j}, for eval
-        self._omega.setflags(write=False)
+        # (omega + z)/(omega - z) = -1 + 2 omega/(omega - z), so with W the total
+        # mass u(z) = (i b - W) + sum_j 2 w_j omega_j / (omega_j - z): one
+        # division per atom, with the constants taken here
+        self._omega = np.exp(1j * self._angles)  # the atoms e^{i angle_j}
+        self._two_w_omega = 2.0 * self._weights * self._omega
+        self._shift = complex(1j * b - self._weights.sum())
+        for arr in (self._omega, self._two_w_omega):
+            arr.setflags(write=False)
 
     @classmethod
     def uniform(cls, mass: float = 1.0, n_atoms: int = 64) -> "HerglotzGenerator":
@@ -72,20 +78,29 @@ class HerglotzGenerator:
 
     # -- pointwise ----------------------------------------------------------
 
+    def _u(self, z: np.ndarray):
+        """u(z) at a complex array, in the one-division form; no disk check."""
+        return self._shift + (1.0 / (self._omega - z[..., None])) @ self._two_w_omega
+
     def eval(self, z):
-        """u(z) for |z| < 1.  Re u(z) >= 0 whenever all weights are >= 0."""
+        """u(z) for |z| < 1 (a ``DomainError`` otherwise).  Re u(z) >= 0
+        whenever all weights are >= 0."""
         z = np.asarray(z, dtype=complex)
         if (np.abs(z) >= 1.0).any():
             raise DomainError("generator is defined on the open unit disk")
-        omega = self._omega
-        terms = (omega + z[..., None]) / (omega - z[..., None])
-        val = 1j * self.b + terms @ self._weights
+        val = self._u(z)
         return val if val.ndim else complex(val)
 
     def vector_field_at(self, z):
-        """v(z) = -z u(z)."""
-        out = -np.asarray(z, dtype=complex) * self.eval(z)
-        return out if np.ndim(out) else complex(out)
+        """v(z) = -z u(z), without a disk check.
+
+        The integrator calls this at trial stage inputs, which may lie off
+        the disk; it rejects such steps and discards their values.  Off the
+        disk the values are those of the formula, or inf/nan at an atom.
+        """
+        z = np.asarray(z, dtype=complex)
+        out = -z * self._u(z)
+        return out if out.ndim else complex(out)
 
     # -- series -------------------------------------------------------------
 

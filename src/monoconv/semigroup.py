@@ -18,14 +18,20 @@ steps once through the sorted distinct times of the call and records the
 values at each of them.  All points share the step, and a step is
 accepted only when every point meets the local error test, so a value
 depends on the other points of the same call at the level of the
-tolerance (identical calls give identical values).
-:func:`first_moment_law`, :func:`semigroup_defect` and
+tolerance (identical calls give identical values).  A trial step is
+rejected when any of its 12 stage inputs has |y| >= 1 (one check after the
+stages) or when the field raises DomainError, so every accepted value lies
+in the disk.  :func:`first_moment_law`, :func:`semigroup_defect` and
 :func:`evolve_pointwise` (one time, one point) are thin callers of it.
 
 Any generator object with ``beta``, ``series`` (the Taylor coefficients
-of u) and ``vector_field_at`` (v = -z u at points) works here (both
+of u) and ``vector_field_at`` works here (both
 :class:`~monoconv.generator.HerglotzGenerator` and
-:class:`~monoconv.branching.BranchingGenerator` qualify).
+:class:`~monoconv.branching.BranchingGenerator` qualify).  The integrator
+calls ``vector_field_at`` with a 1-d complex array and expects v = -z u at
+each entry, as an array of the same shape.  It may call it at stage inputs
+off the disk, whose steps it then discards: the field need not check the
+disk, and may return inf or NaN there or raise DomainError.
 """
 
 from __future__ import annotations
@@ -126,7 +132,8 @@ _DP_A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = [
     2.01365400804030348374776537501e-1,
     4.47106157277725905176885569043e-2,
 ]
-_DP_E5 = np.zeros(13, dtype=complex)
+_DP_E = np.zeros((2, 13), dtype=complex)  # both error rows, applied in one product
+_DP_E5, _DP_E3 = _DP_E
 _DP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
     0.1312004499419488073250102996e-1,
     -0.1225156446376204440720569753e1,
@@ -139,7 +146,6 @@ _DP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
 ]
 # the 3rd-order weights are those of row 12 less 0.2440..., 0.7338... and
 # 0.0220... at stages 0, 8 and 11
-_DP_E3 = np.zeros(13, dtype=complex)
 _DP_E3[:12] = _DP_A[12, :12]
 _DP_E3[[0, 8, 11]] -= [
     0.244094488188976377952755905512,
@@ -156,72 +162,80 @@ def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float) -> np.ndarray:
     ``t_out`` holds sorted, distinct, nonnegative output times; the result
     has one row per output time, and a row for t = 0 is ``y0`` exactly.  A
     step takes 12 new evaluations of ``f``: 11 stages and the slope at the
-    new value, which is reused as the first stage of the next step.  All points share the step, which is clamped
-    to each output time in turn.  Per point the 5th- and 3rd-order error
-    estimates e5 and e3 combine into err = |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2),
-    and a step is accepted when every point meets err <= tol (1 + max(|y|,
-    |y_new|)).  A trial step whose stage leaves the disk (``f`` raises
-    DomainError) is rejected like one that fails the error test.  More
-    than ``_MAX_STEPS`` steps, accepted or not, raise StepSizeUnderflowError.
+    new value, which is reused as the first stage of the next step.  All
+    points share the step, which is clamped to each output time in turn.
+    Per point the 5th- and 3rd-order error estimates e5 and e3 combine into
+    err = |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2), and a step is accepted when
+    every point meets err <= tol (1 + max(|y|, |y_new|)).  A trial step is
+    rejected like one that fails the error test when any of its 12 stage
+    inputs (the last is y_new) has |y| >= 1 or is NaN, or when ``f`` raises
+    DomainError: ``f`` is called at stage inputs that may lie off the disk,
+    and the values of a rejected step are discarded.  Floating-point
+    warnings are silenced for the call.  More than ``_MAX_STEPS`` steps,
+    accepted or not, raise StepSizeUnderflowError.
     """
     out = np.empty((t_out.size, y0.size), dtype=complex)
     # w[0] is the state y and w[1 + j] the stage slope k_j.  Row i of
-    # c = [1 | h A] makes the input of stage i a single product c[i] . w;
-    # the views are taken once, since the step loop is overhead-bound for
-    # few points.
+    # c = [1 | h A] makes the input of stage i a single product c[i] . w,
+    # written to row i - 1 of ys; the views are taken once, since the step
+    # loop is overhead-bound for few points.
     w = np.empty((14, y0.size), dtype=complex)
     w[0] = y0
     w[1] = f(y0)
     slopes = w[1:]
+    ys = np.empty((12, y0.size), dtype=complex)
+    y_new = ys[11]  # the input of the last stage is the new value
     c = np.ones((13, 14), dtype=complex)
-    stages = [(c[i, : i + 1], w[: i + 1]) for i in range(1, 13)]
+    stages = [(c[i, : i + 1], w[: i + 1], ys[i - 1]) for i in range(1, 13)]
     abs_y = np.abs(y0)
     t = 0.0
     dt = 0.1
     n_steps = 0
-    for row, t_end in enumerate(t_out.tolist()):
-        dt_floor = 0.25 * np.finfo(float).eps * t_end
-        while t_end - t > 16.0 * dt_floor:  # else within machine resolution
-            if n_steps >= _MAX_STEPS:
-                raise StepSizeUnderflowError(
-                    f"ODE integration exceeded {_MAX_STEPS} steps before t={t_end}"
-                )
-            h = min(dt, t_end - t)
-            if h <= dt_floor or t + h == t:
-                raise StepSizeUnderflowError(
-                    f"step size underflow at t={t} (local tolerance {tol} unreachable)"
-                )
-            np.multiply(h, _DP_A, out=c[:, 1:])
-            try:
-                for i, (ci, wi) in enumerate(stages, start=2):
-                    y_new = np.dot(ci, wi)  # the input of the last stage is the new value
-                    w[i] = f(y_new)
-            except DomainError:  # a trial stage left the disk: reject the step
-                ratio = np.inf
-            else:
-                abs_new = np.abs(y_new)
-                sq5 = np.abs(np.dot(_DP_E5, slopes)) ** 2  # |e5|^2
-                sq3 = np.abs(np.dot(_DP_E3, slopes)) ** 2  # |e3|^2
-                den = np.sqrt(sq5 + 0.01 * sq3)
-                err = np.divide(sq5, den, out=np.zeros_like(den), where=den > 0.0)
-                ratio = h * float((err / (1.0 + np.maximum(abs_y, abs_new))).max(initial=0.0))
-            # the DOP853 step update: safety factor 0.9, exponent 1/8, clamps 0.2 and 10
-            if ratio == 0.0:
-                factor = 10.0
-            else:
-                factor = min(10.0, max(0.2, 0.9 * (tol / ratio) ** 0.125))
-            accepted = ratio <= tol
-            if accepted:
-                t += h
-                w[0] = y_new
-                w[1] = w[13]
-                abs_y = abs_new
-            # an accepted step clamped to an output time keeps the proposal
-            dt = max(dt, h * factor) if accepted and h < dt else h * factor
-            n_steps += 1
-        if not np.all(abs_y < 1.0):
-            raise StepSizeUnderflowError("flow left the unit disk; integration unreliable")
-        out[row] = w[0]
+    with np.errstate(all="ignore"):  # off-disk stages may overflow or hit an atom
+        for row, t_end in enumerate(t_out.tolist()):
+            dt_floor = 0.25 * np.finfo(float).eps * t_end
+            while t_end - t > 16.0 * dt_floor:  # else within machine resolution
+                if n_steps >= _MAX_STEPS:
+                    raise StepSizeUnderflowError(
+                        f"ODE integration exceeded {_MAX_STEPS} steps before t={t_end}"
+                    )
+                h = min(dt, t_end - t)
+                if h <= dt_floor or t + h == t:
+                    raise StepSizeUnderflowError(
+                        f"step size underflow at t={t} (local tolerance {tol} unreachable)"
+                    )
+                np.multiply(h, _DP_A, out=c[:, 1:])
+                ratio = np.inf  # unless every stage input lies in the disk
+                try:
+                    for i, (ci, wi, yi) in enumerate(stages, start=2):
+                        w[i] = f(np.dot(ci, wi, out=yi))
+                except DomainError:  # the field refused a stage input
+                    pass
+                else:
+                    abs_ys = np.abs(ys)
+                    if abs_ys.max(initial=0.0) < 1.0:  # one check for all 12 stage inputs, False on NaN
+                        abs_new = abs_ys[11]
+                        sq5, sq3 = np.abs(_DP_E @ slopes) ** 2  # |e5|^2, |e3|^2
+                        den = np.sqrt(sq5 + 0.01 * sq3)
+                        err = np.divide(sq5, den, out=np.zeros_like(den), where=den > 0.0)
+                        ratio = h * float((err / (1.0 + np.maximum(abs_y, abs_new))).max(initial=0.0))
+                # the DOP853 step update: safety factor 0.9, exponent 1/8, clamps 0.2 and 10
+                if ratio == 0.0:
+                    factor = 10.0
+                else:
+                    factor = min(10.0, max(0.2, 0.9 * (tol / ratio) ** 0.125))
+                accepted = ratio <= tol
+                if accepted:
+                    t += h
+                    w[0] = y_new
+                    w[1] = w[13]
+                    abs_y = abs_new
+                # an accepted step clamped to an output time keeps the proposal
+                dt = max(dt, h * factor) if accepted and h < dt else h * factor
+                n_steps += 1
+            if not np.all(abs_y < 1.0):
+                raise StepSizeUnderflowError("flow left the unit disk; integration unreliable")
+            out[row] = w[0]
     return out
 
 

@@ -17,6 +17,10 @@ non-crossing partitions whose blocks each stay within one algebra; an outer
 block takes its algebra's c-free cumulant R^(phi, psi) and a block nested
 inside another takes the free cumulant of that algebra's psi.  It shares
 no code with either recursion.
+``herglotz_sum`` is the Herglotz generator as its defining sum
+i b + sum_j w_j (omega_j + z)/(omega_j - z), one division per term and
+atom, where the library takes the one-division form
+(i b - W) + sum_j 2 w_j omega_j/(omega_j - z) with W the total mass.
 ``iterated_generator`` reaches u/u(0) without the Koenigs function: it
 iterates -K^n/(K^n)' to a Cauchy tolerance and takes u(0) by Richardson
 extrapolation over the two inner grid rings.  ``k_route_convolve`` is the
@@ -59,6 +63,14 @@ def k_route_convolve(mu, nu, n: int) -> np.ndarray:
     """Moments m_1..m_n of mu |> nu from K_mu o K_nu: three reciprocals, one Horner composition."""
     k = horner_compose(k_transform(mu, n).series, k_transform(nu, n).series)
     return moments_from_k(KTransform(k), n)
+
+
+def herglotz_sum(b: float, rho, z) -> np.ndarray:
+    """u(z) = i b + sum_j w_j (omega_j + z)/(omega_j - z) over the atoms (angle, w) of rho."""
+    z = np.asarray(z, dtype=complex)
+    omega = np.exp(1j * np.array([a for a, _ in rho], dtype=float))
+    weights = np.array([w for _, w in rho], dtype=float)
+    return 1j * b + ((omega + z[..., None]) / (omega - z[..., None])) @ weights
 
 
 def vector_field(gen, n: int) -> TruncatedSeries:

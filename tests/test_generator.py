@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import vector_field
+from oracles import herglotz_sum, vector_field
 
 from monoconv._util import ring_grid
 from monoconv.errors import DomainError
@@ -94,6 +94,51 @@ def test_positive_real_part_on_grid():
         gen = rand_gen(rng)
         vals = gen.eval(grid)
         assert float(np.min(np.real(vals))) >= -1e-12
+
+
+def test_one_division_form_matches_the_defining_sum():
+    # (i b - W) + sum 2 w omega/(omega - z) against i b + sum w (omega + z)/(omega - z),
+    # up to 64 atoms and out to |z| = 0.999, where Re u is small against the terms
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        n = int(rng.integers(1, 65))
+        rho = list(zip(rng.uniform(0, 2 * np.pi, n), rng.uniform(0.01, 1.0, n)))
+        b = rng.uniform(-1, 1)
+        radii = np.concatenate([rng.uniform(0.0, 0.999, 16), np.full(16, 0.999)])
+        z = radii * np.exp(1j * rng.uniform(0, 2 * np.pi, 32))
+        gen, want = HerglotzGenerator(b=b, rho=rho), herglotz_sum(b, rho, z)
+        u = gen.eval(z)
+        assert np.max(np.abs(u - want) / np.abs(want)) <= 1e-12
+        assert np.min(u.real) > 0.0
+        assert np.array_equal(gen.vector_field_at(z), -z * u)
+
+
+def test_eval_and_vector_field_keep_the_argument_shape():
+    rho = [(0.5, 0.4), (3.0, 0.6)]
+    gen = HerglotzGenerator(0.2, rho)
+    for f in (gen.eval, gen.vector_field_at):
+        assert type(f(0.3 - 0.1j)) is complex
+        assert type(f(np.complex128(0.3 - 0.1j))) is complex
+        assert type(f(np.array(0.3 - 0.1j))) is complex
+        assert f(np.array([0.3 - 0.1j])).shape == (1,)
+        assert f(np.array([[0.1, 0.2j, -0.3]])).shape == (1, 3)
+    for z in (0.3 - 0.1j, np.array([0.3 - 0.1j, -0.5j])):
+        want = herglotz_sum(0.2, rho, z)
+        assert np.max(np.abs(gen.eval(z) - want)) <= 1e-15
+        assert np.max(np.abs(gen.vector_field_at(z) + np.asarray(z) * want)) <= 1e-15
+
+
+def test_only_eval_checks_the_disk():
+    # the integrator evaluates the field at trial stages off the disk and
+    # rejects such steps itself; eval keeps the domain check
+    gen = HerglotzGenerator(0.0, [(0.0, 1.0)])
+    for z in (1.0, 1.5j, np.array([0.2, -1.0])):
+        with pytest.raises(DomainError):
+            gen.eval(z)
+    z = np.array([1.5j, -2.0])
+    assert np.allclose(gen.vector_field_at(z), -z * (1 + z) / (1 - z))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not np.isfinite(gen.vector_field_at(np.array([1.0]))).any()  # at the atom
 
 
 def test_beta_is_exact():

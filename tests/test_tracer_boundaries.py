@@ -7,7 +7,9 @@ them would otherwise show up only as a failed benchmark run.  The cfree
 sweep must also pass through its two per-word boundaries once per word,
 and every conversion between moments and K-transform through the one
 series division, ``TruncatedSeries.reciprocal``; a convolution is one such
-conversion and one composition.
+conversion and one composition.  Every right-hand-side evaluation of the
+disk integrator goes through a generator's ``vector_field_at``, so the
+benchmark's ``*.vector_field_at.calls`` count the integrator's work.
 """
 
 import importlib
@@ -16,10 +18,13 @@ import inspect
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from monoconv import cfree
+from monoconv import cfree, semigroup
+from monoconv.branching import BranchingGenerator
 from monoconv.convolution import affine_mixture_convolve, monotone_convolve
+from monoconv.generator import HerglotzGenerator
 from monoconv.measure import CircleMeasure, k_transform, moments_from_k
 from monoconv.series import TruncatedSeries
 
@@ -98,3 +103,40 @@ def test_conversions_divide_once_through_reciprocal(monkeypatch):
     assert calls == {"reciprocal": 2 + 1 + 3, "compose": 0, "series_product": 0}
     monotone_convolve(mu, nu, 16)  # psi_mu o K_nu: one for K_nu, one composition
     assert calls == {"reciprocal": 6 + 1, "compose": 1, "series_product": 0}
+
+
+def test_every_rhs_evaluation_goes_through_vector_field_at(monkeypatch):
+    # the tracer patches vector_field_at on the generator classes; count
+    # those calls against the calls the integrator makes to its field
+    calls = {"class": 0, "integrator": 0}
+
+    def counted_method(method):
+        def counted(self, z):
+            calls["class"] += 1
+            return method(self, z)
+
+        return counted
+
+    for cls in (HerglotzGenerator, BranchingGenerator):
+        monkeypatch.setattr(cls, "vector_field_at", counted_method(cls.vector_field_at))
+    integrate = semigroup._integrate
+
+    def counted_integrate(f, *args):
+        def field(y):
+            calls["integrator"] += 1
+            return f(y)
+
+        return integrate(field, *args)
+
+    monkeypatch.setattr(semigroup, "_integrate", counted_integrate)
+    ring = 0.5 * np.exp(2j * np.pi * np.arange(16) / 16)
+    for gen in (
+        HerglotzGenerator(0.1, [(0.3, 0.5), (2.0, 0.3), (4.0, 0.2)]),
+        HerglotzGenerator(0.0, [(0.0, 1.0)]),  # stages leave the disk near the atom
+        BranchingGenerator.yule(1.0, 2),
+    ):
+        semigroup.evolve(gen, [1.9], [0.6 + 0.2j, 0.99])
+        semigroup.evolve(gen, [0.5, 1.5], ring)
+        semigroup.first_moment_law(gen, 1.0)
+        semigroup.semigroup_defect(gen, 0.4, 0.6, ring[:8])
+    assert calls["class"] == calls["integrator"] > 0
