@@ -15,6 +15,18 @@ bytes to stdout.
 
     PYTHONPATH=src python scripts/cli_digest.py --seed 7 --passes 8 > digest.txt
 
+Where the numbers may move at rounding level, ``--cells`` writes one JSON
+line per job instead: its kind, exit code, stdout digest, the numbers of
+stdout in order (``cells``) and a digest of stdout with each number replaced
+by ``#`` (``layout``).  ``--compare OLD NEW`` reads two such dumps and
+prints, per workload and job kind, the job count, the number of jobs whose
+stdout differs in any byte and the largest absolute change of a number.  It
+exits 1 when a job is missing from one dump or changed its exit code, its
+layout or its count of numbers; such jobs are listed.
+
+    python scripts/cli_digest.py --cells --seed 7 --passes 5 > new.jsonl
+    python scripts/cli_digest.py --compare old.jsonl new.jsonl
+
 It reads ``perfbench/`` and changes nothing there.
 """
 
@@ -22,8 +34,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import math
+import re
 import sys
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,8 +47,12 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from perfbench import workloads  # noqa: E402
 
+# a number stands alone, not inside a name such as re(z) or m1
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf|NaN|Infinity)(?![\w.])")
 
-def digest_lines(workload: str, seed: int, passes: int):
+
+def run_cli_jobs(workload: str, seed: int, passes: int):
+    """(pass, job, status, stdout) of every CLI job of passes 1..P."""
     for pass_index in range(1, passes + 1):
         with tempfile.TemporaryDirectory() as tmp:
             spec = workloads.build(workload, seed, pass_index)
@@ -44,8 +64,71 @@ def digest_lines(workload: str, seed: int, passes: int):
                     status, text = "traceback", error.split(":", 1)[0]
                 else:
                     status, text = output
-                sha = hashlib.sha256(text.encode()).hexdigest()
-                yield f"{workload} {pass_index} {job['id']} {status} {sha}"
+                yield pass_index, job, status, text
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest_lines(workload: str, seed: int, passes: int):
+    for pass_index, job, status, text in run_cli_jobs(workload, seed, passes):
+        yield f"{workload} {pass_index} {job['id']} {status} {sha256(text)}"
+
+
+def cell_lines(workload: str, seed: int, passes: int):
+    for pass_index, job, status, text in run_cli_jobs(workload, seed, passes):
+        record = {
+            "workload": workload,
+            "pass": pass_index,
+            "job": job["id"],
+            "kind": job["kind"],
+            "exit": status,
+            "sha256": sha256(text),
+            "layout": sha256(NUMBER.sub("#", text)),
+            "cells": [float(token) for token in NUMBER.findall(text)],
+        }
+        yield json.dumps(record)
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as fh:
+        records = (json.loads(line) for line in fh if line.strip())
+        return {(r["workload"], r["pass"], r["job"]): r for r in records}
+
+
+def _drift(old, new) -> float:
+    """Largest |old - new| over paired numbers; NaN against NaN counts as 0."""
+    worst = 0.0
+    for a, b in zip(old, new):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        worst = max(worst, abs(a - b) if math.isfinite(a - b) else math.inf)
+    return worst
+
+
+def compare(old_path, new_path, out=sys.stdout) -> int:
+    old, new = _load(old_path), _load(new_path)
+    failures = [f"missing from {new_path}: {key}" for key in sorted(old.keys() - new.keys())]
+    failures += [f"missing from {old_path}: {key}" for key in sorted(new.keys() - old.keys())]
+    rows = defaultdict(lambda: [0, 0, 0.0])  # (workload, kind) -> jobs, byte-different, drift
+    for key in sorted(old.keys() & new.keys()):
+        a, b = old[key], new[key]
+        row = rows[a["workload"], a["kind"]]
+        row[0] += 1
+        if a["sha256"] == b["sha256"]:
+            continue
+        row[1] += 1
+        if a["exit"] != b["exit"] or a["layout"] != b["layout"] or len(a["cells"]) != len(b["cells"]):
+            failures.append(f"changed exit or shape: {key} ({a['kind']}, exit {a['exit']} -> {b['exit']})")
+            continue
+        row[2] = max(row[2], _drift(a["cells"], b["cells"]))
+    print("workload kind jobs byte-different max-abs-drift", file=out)
+    for (workload, kind), (jobs, differ, drift) in sorted(rows.items()):
+        print(f"{workload} {kind} {jobs} {differ} {drift:.3g}", file=out)
+    for line in failures:
+        print(f"FAIL {line}", file=out)
+    return 1 if failures else 0
 
 
 def main(argv=None) -> int:
@@ -53,10 +136,16 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--passes", type=int, default=8, help="passes 1..P of each workload")
     p.add_argument("--workload", action="append", choices=workloads.WORKLOADS, help="default: all (repeatable)")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--cells", action="store_true", help="write exit code and numbers of each job as JSON lines")
+    mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two --cells dumps")
     args = p.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    lines = cell_lines if args.cells else digest_lines
     count = 0
     for workload in args.workload or workloads.WORKLOADS:
-        for line in digest_lines(workload, args.seed, args.passes):
+        for line in lines(workload, args.seed, args.passes):
             print(line)
             count += 1
     print(f"{count} CLI jobs", file=sys.stderr)

@@ -112,9 +112,9 @@ class BranchingGenerator:
     def beta(self) -> complex:
         return complex(self.alpha)
 
-    def _u(self, z: np.ndarray):
-        """u(z) at a complex array, without a disk check; the float alpha
-        when there are no rates."""
+    def _u(self, z):
+        """u(z) at a complex array or a Python complex, without a disk check;
+        the float alpha when there are no rates."""
         val = self._alpha
         for j, lam in self._rates:
             val = val - lam * z ** (j - 1)
@@ -132,7 +132,14 @@ class BranchingGenerator:
     def vector_field_at(self, z):
         """v(z) = sum_j lambda_j z^j - alpha z, without a disk check (see
         :meth:`HerglotzGenerator.vector_field_at
-        <monoconv.generator.HerglotzGenerator.vector_field_at>`)."""
+        <monoconv.generator.HerglotzGenerator.vector_field_at>`).  A Python
+        ``complex`` is evaluated on the complex itself; where a power
+        overflows there, the array form gives the inf/nan instead."""
+        if type(z) is complex:
+            try:
+                return -z * self._u(z)
+            except OverflowError:  # z ** (j - 1) far off the disk
+                pass
         z = np.asarray(z, dtype=complex)
         out = -z * self._u(z)
         return out if out.ndim else complex(out)

@@ -22,6 +22,11 @@ from ._util import atom_moments, atoms
 from .errors import DomainError
 from .series import DEFAULT_ORDER, TruncatedSeries
 
+# Up to this many atoms u is summed in Python on a complex argument, else
+# by NumPy: on one x86-64 core (CPython 3.11, NumPy 2.4) a call costs about
+# 0.4 + 0.2 n us against a flat 5 us, which break even near n = 24.
+_PYTHON_SUM_MAX_ATOMS = 20
+
 
 class HerglotzGenerator:
     """Flow generator (b, rho) with rho a finite atomic measure on the circle.
@@ -34,7 +39,7 @@ class HerglotzGenerator:
         Atoms of the representing measure, weights >= 0.
     """
 
-    __slots__ = ("b", "_angles", "_weights", "_omega", "_shift", "_two_w_omega")
+    __slots__ = ("b", "_angles", "_weights", "_omega", "_shift", "_two_w_omega", "_pairs")
 
     def __init__(self, b: float = 0.0, rho=()):
         b = float(b)
@@ -51,6 +56,9 @@ class HerglotzGenerator:
         self._shift = complex(1j * b - self._weights.sum())
         for arr in (self._omega, self._two_w_omega):
             arr.setflags(write=False)
+        self._pairs = None  # the (omega_j, 2 w_j omega_j) as complex pairs, for few atoms
+        if self._omega.size <= _PYTHON_SUM_MAX_ATOMS:
+            self._pairs = tuple(zip(self._omega.tolist(), self._two_w_omega.tolist()))
 
     @classmethod
     def uniform(cls, mass: float = 1.0, n_atoms: int = 64) -> "HerglotzGenerator":
@@ -78,9 +86,11 @@ class HerglotzGenerator:
 
     # -- pointwise ----------------------------------------------------------
 
-    def _u(self, z: np.ndarray):
-        """u(z) at a complex array, in the one-division form; no disk check."""
-        return self._shift + (1.0 / (self._omega - z[..., None])) @ self._two_w_omega
+    def _u(self, z):
+        """u(z) in the one-division form, without a disk check: at a complex
+        array, or at a Python complex as a NumPy scalar."""
+        column = z if type(z) is complex else z[..., None]  # the atoms run along the last axis
+        return self._shift + (1.0 / (self._omega - column)) @ self._two_w_omega
 
     def eval(self, z):
         """u(z) for |z| < 1 (a ``DomainError`` otherwise).  Re u(z) >= 0
@@ -91,13 +101,33 @@ class HerglotzGenerator:
         val = self._u(z)
         return val if val.ndim else complex(val)
 
+    def _u_point(self, z: complex) -> complex:
+        """u(z) at a Python complex: a Python sum for few atoms, else the
+        NumPy form, which also gives the inf/nan at an atom."""
+        if self._pairs is not None:
+            acc = 0j
+            try:
+                for omega, c in self._pairs:
+                    acc += (1.0 / (omega - z)) * c
+            except ZeroDivisionError:  # z is an atom
+                pass
+            else:
+                return self._shift + acc
+        return complex(self._u(z))
+
     def vector_field_at(self, z):
         """v(z) = -z u(z), without a disk check.
 
         The integrator calls this at trial stage inputs, which may lie off
         the disk; it rejects such steps and discards their values.  Off the
         disk the values are those of the formula, or inf/nan at an atom.
+        It passes a Python ``complex`` when it integrates one point and a
+        1-d array otherwise; a ``complex`` takes scalar arithmetic and
+        returns a ``complex``, equal to the array form up to rounding, and
+        never raises.
         """
+        if type(z) is complex:
+            return -z * self._u_point(z)
         z = np.asarray(z, dtype=complex)
         out = -z * self._u(z)
         return out if out.ndim else complex(out)

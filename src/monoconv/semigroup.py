@@ -13,28 +13,34 @@ f_m becomes known, so it makes no composition at all.
 
 :func:`evolve` is the one integrator entry point: a DOP853 loop (the
 8th-order Dormand-Prince pair with 5th- and 3rd-order error estimates,
-12 right-hand-side calls per step) over a whole array of points, which
-steps once through the sorted distinct times of the call and records the
-values at each of them.  All points share the step, and a step is
-accepted only when every point meets the local error test, so a value
-depends on the other points of the same call at the level of the
-tolerance (identical calls give identical values).  A trial step is
-rejected when any of its 12 stage inputs has |y| >= 1 (one check after the
-stages) or when the field raises DomainError, so every accepted value lies
-in the disk.  :func:`first_moment_law`, :func:`semigroup_defect` and
+12 right-hand-side calls per step) which steps once through the sorted
+distinct times of the call and records the values at each of them.  The
+step control is written once; only the trial step differs with the point
+count.  One point runs in Python ``complex`` arithmetic, where NumPy call
+overhead would dominate, and two or more run as one array.  All points of
+an array share the step, and a step is accepted only when every point
+meets the local error test, so a value depends on the other points of the
+same call at the level of the tolerance (identical calls give identical
+values).  A trial step is rejected when any of its 12 stage inputs has
+|y| >= 1 (one check after the stages) or when the field raises
+DomainError, so every accepted value lies in the disk.
+:func:`first_moment_law`, :func:`semigroup_defect` and
 :func:`evolve_pointwise` (one time, one point) are thin callers of it.
 
 Any generator object with ``beta``, ``series`` (the Taylor coefficients
 of u) and ``vector_field_at`` works here (both
 :class:`~monoconv.generator.HerglotzGenerator` and
 :class:`~monoconv.branching.BranchingGenerator` qualify).  The integrator
-calls ``vector_field_at`` with a 1-d complex array and expects v = -z u at
-each entry, as an array of the same shape.  It may call it at stage inputs
-off the disk, whose steps it then discards: the field need not check the
-disk, and may return inf or NaN there or raise DomainError.
+calls ``vector_field_at`` with a Python ``complex`` when it integrates one
+point and with a 1-d complex array otherwise, and expects v = -z u of the
+same kind: a duck-typed field must accept both.  It may call it at stage
+inputs off the disk, whose steps it then discards: the field need not
+check the disk, and may return inf or NaN there or raise DomainError.
 """
 
 from __future__ import annotations
+
+from math import hypot, inf, sqrt
 
 import numpy as np
 
@@ -154,6 +160,117 @@ _DP_E3[[0, 8, 11]] -= [
 ]
 
 _MAX_STEPS = 10**6  # steps of one integration, accepted or rejected
+_QUARTER_EPS = 0.25 * np.finfo(float).eps
+
+# The nonzero tableau entries, for the one-point kernel: (column, a) pairs of
+# stage rows 1-12, and (column, e5, e3) triples of the error rows.
+_DP_ROWS = tuple(tuple((j, float(a)) for j, a in enumerate(row) if a) for row in _DP_A[1:])
+_DP_E_TERMS = tuple((j, float(e5.real), float(e3.real)) for j, (e5, e3) in enumerate(_DP_E.T) if e5 or e3)
+
+
+class _PointKernel:
+    """The DOP853 trial step for one point, in Python ``complex`` arithmetic.
+
+    The same stages, error estimate and disk test as :class:`_BatchKernel`,
+    with the zero tableau entries skipped: on 1-element arrays a step would
+    be almost all NumPy call overhead.  Moduli are taken with ``hypot``,
+    which returns inf where ``abs`` of a complex raises OverflowError.
+    """
+
+    __slots__ = ("f", "y", "abs_y", "k", "y_new", "abs_new")
+
+    def __init__(self, f, y0: complex):
+        self.f = f
+        self.y = y0
+        self.abs_y = hypot(y0.real, y0.imag)
+        self.k = [f(y0)] + [0j] * 12  # k[j] is the slope of stage j, k[12] the one at y_new
+
+    def trial(self, h: float) -> float:
+        """Evaluate a step of size h; its error ratio, or inf when it is rejected."""
+        f, k, y = self.f, self.k, self.y
+        inside = True
+        try:
+            for i, row in enumerate(_DP_ROWS, start=1):
+                s = y
+                for j, a in row:
+                    s += h * a * k[j]
+                k[i] = f(s)
+                abs_s = hypot(s.real, s.imag)
+                inside = inside and abs_s < 1.0  # False on NaN
+        except DomainError:  # the field refused a stage input
+            return inf
+        if not inside:
+            return inf
+        e5 = e3 = 0j
+        for j, a5, a3 in _DP_E_TERMS:
+            e5 += a5 * k[j]
+            e3 += a3 * k[j]
+        n5, n3 = hypot(e5.real, e5.imag), hypot(e3.real, e3.imag)
+        sq5 = n5 * n5
+        den = sqrt(sq5 + 0.01 * (n3 * n3))
+        err = sq5 / den if den > 0.0 else 0.0
+        self.y_new, self.abs_new = s, abs_s  # the last stage input is the new value
+        return h * (err / (1.0 + max(self.abs_y, abs_s)))
+
+    def accept(self) -> None:
+        self.y, self.abs_y = self.y_new, self.abs_new
+        self.k[0] = self.k[12]
+
+    def time_scale(self) -> float:
+        """|y| / |v| at the current value, from the stored slope."""
+        abs_v = hypot(self.k[0].real, self.k[0].imag)
+        return self.abs_y / abs_v if abs_v > 0.0 else inf
+
+
+class _BatchKernel:
+    """The DOP853 trial step for any number of points at once, on arrays.
+
+    All points share the step, and it is accepted only when every point
+    meets the error test.
+    """
+
+    def __init__(self, f, y0: np.ndarray):
+        self.f = f
+        # w[0] is the state y and w[1 + j] the stage slope k_j.  Row i of
+        # c = [1 | h A] makes the input of stage i a single product c[i] . w,
+        # written to row i - 1 of ys; the views are taken once, since the step
+        # loop is overhead-bound for few points.
+        self.w = w = np.empty((14, y0.size), dtype=complex)
+        w[0] = y0
+        w[1] = f(y0)
+        self.y = w[0]
+        self.ys = np.empty((12, y0.size), dtype=complex)
+        self.c = np.ones((13, 14), dtype=complex)
+        self.stages = [(self.c[i, : i + 1], w[: i + 1], self.ys[i - 1]) for i in range(1, 13)]
+        self.abs_y = np.abs(y0)
+
+    def trial(self, h: float) -> float:
+        """Evaluate a step of size h; its error ratio, or inf when it is rejected."""
+        f, w = self.f, self.w
+        np.multiply(h, _DP_A, out=self.c[:, 1:])
+        try:
+            for i, (ci, wi, yi) in enumerate(self.stages, start=2):
+                w[i] = f(np.dot(ci, wi, out=yi))
+        except DomainError:  # the field refused a stage input
+            return inf
+        abs_ys = np.abs(self.ys)
+        if not abs_ys.max(initial=0.0) < 1.0:  # one check for all 12 stage inputs; NaN fails it
+            return inf
+        self.abs_new = abs_ys[11]  # the input of the last stage is the new value
+        sq5, sq3 = np.abs(_DP_E @ w[1:]) ** 2  # |e5|^2, |e3|^2
+        den = np.sqrt(sq5 + 0.01 * sq3)
+        err = np.divide(sq5, den, out=np.zeros_like(den), where=den > 0.0)
+        return h * float((err / (1.0 + np.maximum(self.abs_y, self.abs_new))).max(initial=0.0))
+
+    def accept(self) -> None:
+        w = self.w
+        w[0] = self.ys[11]
+        w[1] = w[13]
+        self.abs_y = self.abs_new
+
+    def time_scale(self) -> float:
+        """The least |y| / |v| over the points, from the stored slopes."""
+        return float(np.fmin.reduce(self.abs_y / np.abs(self.w[1]), initial=inf))
 
 
 def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float) -> np.ndarray:
@@ -162,63 +279,44 @@ def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float) -> np.ndarray:
     ``t_out`` holds sorted, distinct, nonnegative output times; the result
     has one row per output time, and a row for t = 0 is ``y0`` exactly.  A
     step takes 12 new evaluations of ``f``: 11 stages and the slope at the
-    new value, which is reused as the first stage of the next step.  All
-    points share the step, which is clamped to each output time in turn.
-    Per point the 5th- and 3rd-order error estimates e5 and e3 combine into
-    err = |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2), and a step is accepted when
-    every point meets err <= tol (1 + max(|y|, |y_new|)).  A trial step is
-    rejected like one that fails the error test when any of its 12 stage
-    inputs (the last is y_new) has |y| >= 1 or is NaN, or when ``f`` raises
-    DomainError: ``f`` is called at stage inputs that may lie off the disk,
-    and the values of a rejected step are discarded.  Floating-point
-    warnings are silenced for the call.  More than ``_MAX_STEPS`` steps,
-    accepted or not, raise StepSizeUnderflowError.
+    new value, which is reused as the first stage of the next step.  One
+    point is integrated in Python ``complex`` arithmetic, so ``f`` gets a
+    ``complex``; two or more share each step on arrays, and ``f`` gets a
+    1-d array.  The step control below is the same for both: the step is
+    clamped to each output time in turn.  Per point the 5th- and 3rd-order
+    error estimates e5 and e3 combine into err = |e5|^2 / sqrt(|e5|^2 +
+    0.01 |e3|^2), and a step is accepted when every point meets err <= tol
+    (1 + max(|y|, |y_new|)).  A trial step is rejected like one that fails
+    the error test when any of its 12 stage inputs (the last is y_new) has
+    |y| >= 1 or is NaN, or when ``f`` raises DomainError: ``f`` is called
+    at stage inputs that may lie off the disk, and the values of a rejected
+    step are discarded.  Floating-point warnings are silenced for the call.
+    A step at or below 0.25 eps t_end that is also at or below 0.25 eps
+    times the local time scale min |y| / |v| raises
+    StepSizeUnderflowError; so do more than ``_MAX_STEPS`` steps, accepted
+    or not.
     """
+    kernel = _PointKernel(f, complex(y0[0])) if y0.size == 1 else _BatchKernel(f, y0)
     out = np.empty((t_out.size, y0.size), dtype=complex)
-    # w[0] is the state y and w[1 + j] the stage slope k_j.  Row i of
-    # c = [1 | h A] makes the input of stage i a single product c[i] . w,
-    # written to row i - 1 of ys; the views are taken once, since the step
-    # loop is overhead-bound for few points.
-    w = np.empty((14, y0.size), dtype=complex)
-    w[0] = y0
-    w[1] = f(y0)
-    slopes = w[1:]
-    ys = np.empty((12, y0.size), dtype=complex)
-    y_new = ys[11]  # the input of the last stage is the new value
-    c = np.ones((13, 14), dtype=complex)
-    stages = [(c[i, : i + 1], w[: i + 1], ys[i - 1]) for i in range(1, 13)]
-    abs_y = np.abs(y0)
     t = 0.0
     dt = 0.1
     n_steps = 0
     with np.errstate(all="ignore"):  # off-disk stages may overflow or hit an atom
         for row, t_end in enumerate(t_out.tolist()):
-            dt_floor = 0.25 * np.finfo(float).eps * t_end
+            dt_floor = _QUARTER_EPS * t_end
             while t_end - t > 16.0 * dt_floor:  # else within machine resolution
                 if n_steps >= _MAX_STEPS:
                     raise StepSizeUnderflowError(
                         f"ODE integration exceeded {_MAX_STEPS} steps before t={t_end}"
                     )
                 h = min(dt, t_end - t)
-                if h <= dt_floor or t + h == t:
+                # next to an atom the flow is fast and its steps are far below
+                # eps t_end; the time scale is only computed for such a step
+                if (h <= dt_floor and h <= _QUARTER_EPS * kernel.time_scale()) or t + h == t:
                     raise StepSizeUnderflowError(
                         f"step size underflow at t={t} (local tolerance {tol} unreachable)"
                     )
-                np.multiply(h, _DP_A, out=c[:, 1:])
-                ratio = np.inf  # unless every stage input lies in the disk
-                try:
-                    for i, (ci, wi, yi) in enumerate(stages, start=2):
-                        w[i] = f(np.dot(ci, wi, out=yi))
-                except DomainError:  # the field refused a stage input
-                    pass
-                else:
-                    abs_ys = np.abs(ys)
-                    if abs_ys.max(initial=0.0) < 1.0:  # one check for all 12 stage inputs, False on NaN
-                        abs_new = abs_ys[11]
-                        sq5, sq3 = np.abs(_DP_E @ slopes) ** 2  # |e5|^2, |e3|^2
-                        den = np.sqrt(sq5 + 0.01 * sq3)
-                        err = np.divide(sq5, den, out=np.zeros_like(den), where=den > 0.0)
-                        ratio = h * float((err / (1.0 + np.maximum(abs_y, abs_new))).max(initial=0.0))
+                ratio = kernel.trial(h)
                 # the DOP853 step update: safety factor 0.9, exponent 1/8, clamps 0.2 and 10
                 if ratio == 0.0:
                     factor = 10.0
@@ -227,15 +325,13 @@ def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float) -> np.ndarray:
                 accepted = ratio <= tol
                 if accepted:
                     t += h
-                    w[0] = y_new
-                    w[1] = w[13]
-                    abs_y = abs_new
+                    kernel.accept()
                 # an accepted step clamped to an output time keeps the proposal
                 dt = max(dt, h * factor) if accepted and h < dt else h * factor
                 n_steps += 1
-            if not np.all(abs_y < 1.0):
+            if not np.all(kernel.abs_y < 1.0):
                 raise StepSizeUnderflowError("flow left the unit disk; integration unreliable")
-            out[row] = w[0]
+            out[row] = kernel.y
     return out
 
 

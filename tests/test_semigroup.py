@@ -95,8 +95,10 @@ def test_evolve_near_an_atom_matches_koebe_closed_form():
     # u = (1 + z)/(1 - z) gives K_t/(1 + K_t)^2 = e^{-t} z/(1 + z)^2, so K_t(z)
     # is the root inside the disk of c K^2 + (2c - 1) K + c = 0.  Near the
     # atom the first trial steps put Runge-Kutta stages outside the disk.
+    # At 1 - 1e-9 and 1 - 1e-12 the field is about 2e9 and 2e12, so the
+    # first steps are far below eps t; one point and the batch both get there.
     gen = HerglotzGenerator(b=0.0, rho=[(0.0, 1.0)])
-    zs = np.array([0.5, 0.8, 0.9, 0.99])
+    zs = np.array([0.5, 0.8, 0.9, 0.99, 1 - 1e-9, 1 - 1e-12])
     c = np.exp(-0.5) * zs / (1 + zs) ** 2
     exact = (1 - 2 * c - np.sqrt(1 - 4 * c)) / (2 * c)
     assert np.max(np.abs(evolve(gen, [0.5], zs)[0] - exact)) < 1e-9
@@ -120,12 +122,13 @@ def test_integrator_rejects_steps_that_leave_the_disk():
     assert np.max(np.abs(got - np.exp([[0.05], [0.1]]) * [0.9, 0.5])) < 1e-9
     exit_time = -math.log(0.9)
     for t in (exit_time + 1e-6, 0.2, 1.0):
-        # every trial step across |K| = 1 is rejected until the step size
-        # underflows at the exit time; no step is accepted outside the disk
-        with pytest.raises(StepSizeUnderflowError, match="step size underflow") as info:
-            evolve(gen, [t], [0.9, 0.5])
-        stuck_at = float(str(info.value).split("t=")[1].split()[0])
-        assert abs(stuck_at - exit_time) < 1e-9
+        for points in ([0.9, 0.5], [0.9]):
+            # every trial step across |K| = 1 is rejected until the step size
+            # underflows at the exit time; no step is accepted outside the disk
+            with pytest.raises(StepSizeUnderflowError, match="step size underflow") as info:
+                evolve(gen, [t], points)
+            stuck_at = float(str(info.value).split("t=")[1].split()[0])
+            assert abs(stuck_at - exit_time) < 1e-9
 
 
 class ClosedDiskGen:
@@ -311,6 +314,89 @@ def test_rhs_calls_stay_below_the_dp5_count(gen, query, dp5_calls, dop853_calls)
     counted = CountingGen(gen)
     query(counted)
     assert counted.calls == dop853_calls <= 0.75 * dp5_calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gen=herglotz_generators | st.builds(BranchingGenerator.yule, st.floats(0.2, 2.0), st.sampled_from([2, 3])),
+    times=batch_times,
+    r=st.floats(0.0, 0.85),
+    phase=st.floats(0.0, 2 * np.pi),
+)
+def test_one_point_kernel_matches_the_array_kernel(gen, times, r, phase):
+    # The point given twice takes the array kernel through the same step
+    # sequence, so the field calls match exactly.  The values differ by
+    # rounding only: the kernels sum the field and the error estimate in
+    # different orders (Python against BLAS), after which the two runs round
+    # independently.  Over 16000 random cases of this domain that noise
+    # reached 7.5e-15, and it is mostly below 1e-15.
+    z = complex(r * np.exp(1j * phase))
+    one, two = CountingGen(gen), CountingGen(gen)
+    single = evolve(one, times, [z])[:, 0]
+    double = evolve(two, times, [z, z])
+    assert np.array_equal(double[:, 0], double[:, 1])
+    assert np.max(np.abs(single - double[:, 0])) <= 1e-14
+    assert one.calls == two.calls
+
+
+@pytest.mark.parametrize(
+    "gen, z",
+    [
+        (three_atoms, 0.3 - 0.4j),
+        (three_atoms, 1.5 + 2.0j),
+        (HerglotzGenerator(0.0, [(0.0, 1.0)]), 1 + 0j),  # a Python division raises ZeroDivisionError
+        (HerglotzGenerator.uniform(), 0.3 + 0.6j),
+        (HerglotzGenerator.uniform(), 1 + 0j),
+        (BranchingGenerator({2: 0.7, 4: 0.3}), -0.4 + 0.5j),
+        (BranchingGenerator({40: 1.0}), 1.5 - 0.5j),
+        (BranchingGenerator({40: 1.0}), 1e10 + 0j),  # a Python z**39 raises OverflowError
+    ],
+    ids=["3-atoms", "3-atoms-off-disk", "at-an-atom", "64-atoms", "64-atoms-at-an-atom",
+         "branching", "branching-off-disk", "branching-overflow"],
+)
+def test_field_at_a_complex_matches_the_array_form(gen, z):
+    # the one-point kernel passes a Python complex, which the generators take
+    # in scalar arithmetic; where the array form gives inf or NaN, so must it
+    with np.errstate(all="ignore"):
+        want = complex(gen.vector_field_at(np.array([z]))[0])
+        got = gen.vector_field_at(z)
+    assert type(got) is complex
+    if np.isfinite(want):
+        assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
+    else:
+        assert not np.isfinite(got)
+
+
+def test_kernels_reject_a_stage_whose_modulus_overflows():
+    # The field is 0 at the start and g (1 + i) after, so the input of stage
+    # 2 is 0.5 + h A[2, 1] g (1 + i) = 0.5 + 1.5e308 (1 + i): abs() of that
+    # complex raises OverflowError.  Both kernels reject the step instead.
+    h, a = 100.0, float(semigroup._DP_A[2, 1])
+    g = 1.5e308 / (h * a)
+    with pytest.raises(OverflowError):
+        abs(0.5 + h * a * complex(g, g))
+
+    def jump_field():
+        calls = []
+
+        def field(z):
+            value = complex(g, g) if calls else 0j
+            calls.append(z)
+            return value if type(z) is complex else np.full_like(z, value)
+
+        return field
+
+    with np.errstate(all="ignore"):
+        assert semigroup._PointKernel(jump_field(), 0.5 + 0j).trial(h) == math.inf
+        assert semigroup._BatchKernel(jump_field(), np.array([0.5, 0.5], dtype=complex)).trial(h) == math.inf
+
+
+def test_high_degree_branching_flow_from_one_point():
+    # the degree-40 field on the one-point kernel: the value the array kernel
+    # gave before, and the closed form
+    got = evolve(BranchingGenerator({40: 1.0}), [2.0], [0.9])[0, 0]
+    assert abs(got - 0.121853483420468) <= 1e-14
+    assert abs(got - yule_flow(1.0, 40, 2.0, 0.9)) <= 1e-9
 
 
 @settings(max_examples=40, deadline=None)

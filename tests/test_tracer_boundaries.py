@@ -136,6 +136,8 @@ def test_every_rhs_evaluation_goes_through_vector_field_at(monkeypatch):
         BranchingGenerator.yule(1.0, 2),
     ):
         semigroup.evolve(gen, [1.9], [0.6 + 0.2j, 0.99])
+        semigroup.evolve(gen, [0.7, 1.9], [0.99])  # one point: the field gets a complex
+        semigroup.evolve_pointwise(gen, 1.2, -0.5 + 0.3j)
         semigroup.evolve(gen, [0.5, 1.5], ring)
         semigroup.first_moment_law(gen, 1.0)
         semigroup.semigroup_defect(gen, 0.4, 0.6, ring[:8])
