@@ -228,7 +228,10 @@ def moments_from_k(k: KTransform, n: int = DEFAULT_ORDER) -> np.ndarray:
     """Moments m_1..m_n of the measure with K-transform ``k``.
 
     Inverts K = psi/(1+psi) as 1 + psi = 1/(1-K) and reads the coefficients.
+    An ``n`` below 1 is a ``ValueError``.
     """
+    if n < 1:
+        raise ValueError(f"truncation order must be >= 1, got {n}")
     if k.series.order < n:
         raise DomainError(
             f"K-transform series has order {k.series.order}, cannot produce {n} moments"
@@ -267,18 +270,13 @@ def validate_k(k) -> KValidationReport:
     max_mod = float(np.max(np.abs(vals)))
     schur_ok = max_mod < 1.0 + 1e-9
 
-    min_eig = np.inf
-    toeplitz_ok = True
-    if k_at_zero_ok:
+    toeplitz_ok = k_at_zero_ok
+    min_eig = np.inf if k_at_zero_ok else -np.inf
+    # m_1..m_N fill a Toeplitz matrix of size N // 2 + 1, which is 1 below order 2
+    if k_at_zero_ok and series.order >= 2:
         m = moments_from_k(KTransform(series), series.order)
-        size = m.size // 2 + 1
-        if size >= 2:
-            eigs = np.linalg.eigvalsh(toeplitz_from_moments(m, size))
-            min_eig = float(eigs[0])
-            toeplitz_ok = min_eig >= -1e-9
-    else:
-        toeplitz_ok = False
-        min_eig = -np.inf
+        min_eig = float(np.linalg.eigvalsh(toeplitz_from_moments(m, m.size // 2 + 1))[0])
+        toeplitz_ok = min_eig >= -1e-9
 
     return KValidationReport(
         k_at_zero_ok=bool(k_at_zero_ok),

@@ -26,6 +26,15 @@ triangular, and column m of g^k = g^(k-1) g needs only g_1..g_(m-1) and
 the columns before m: one matrix-vector product per column, about n^3/3
 multiply-adds.  :func:`_power_table` builds it for a known g.
 
+Division by Newton doubling (Brent & Kung 1978): the reciprocal b of a
+series a starts from b_0 = 1/a_0, and each step b <- b (2 - a b) doubles
+the number of correct coefficients, from k to m = min(2k, N + 1).  Since
+a b = 1 + O(z^k), a step needs only r = [a b]_k..[a b]_(m-1) and then
+b_k..b_(m-1) = -[b r]_0..[b r]_(m-k-1): two convolutions.  That is
+ceil(log2(N + 1)) steps and O(N) memory, and the coefficient loop runs
+inside numpy: no Python loop per coefficient, where forward substitution
+makes one dot product call for each.
+
 :func:`horner` is the one polynomial evaluator of the package, for
 series, K-transforms and offspring generating functions alike.
 
@@ -177,15 +186,22 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse through order N, the one series division; needs c_0 != 0."""
+        """Multiplicative inverse through order N, the one series division; needs c_0 != 0.
+
+        Newton doubling (see the module docstring): ceil(log2(N + 1)) steps
+        of two convolutions each, O(N) memory.
+        """
         a = self._c
         if a[0] == 0:
             raise DomainError("reciprocal of a series with zero constant term")
         n = self.order
-        b = np.zeros(n + 1, dtype=np.complex128)
+        b = np.empty(n + 1, dtype=np.complex128)
         b[0] = 1.0 / a[0]
-        for k in range(1, n + 1):
-            b[k] = -b[0] * np.dot(a[1 : k + 1], b[k - 1 :: -1])
+        for k in (1 << j for j in range(n.bit_length())):  # k = 1, 2, 4, ... <= n
+            m = min(2 * k, n + 1)
+            # a b = 1 + z^k r + O(z^m), so b (1 - z^k r) is right through z^(m-1)
+            r = np.convolve(a[:m], b[:k])[k:m]
+            b[k:m] = -np.convolve(b[:k], r)[: m - k]
         return TruncatedSeries(b)
 
     def derivative(self) -> "TruncatedSeries":

@@ -31,6 +31,12 @@ the library's baby-step/giant-step composition.
 ``gw_exact_law`` is the law of a Galton-Watson generation Y_n read off the
 iterated generating function on roots of unity by one FFT, where the
 simulator draws from convolution powers of the offspring law.
+``reciprocal_forward`` is the series reciprocal by forward substitution,
+b_k = -b_0 sum_(j=1..k) a_j b_(k-j), one dot product per coefficient, in
+double or long double precision, or exactly on ``Fraction`` entries with
+``dtype=object``, where
+:meth:`monoconv.series.TruncatedSeries.reciprocal` doubles the number of
+known coefficients by Newton steps.
 ``jsonable`` and ``csv_cell`` are the command line's former output
 formatting, a walk over the payload and a per-cell type dispatch; the one
 renderer, with a JSON ``default`` hook and ``str`` per cell, must write the
@@ -57,6 +63,16 @@ def horner_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     for ck in outer.coeffs[n::-1]:
         acc = acc * g + ck
     return acc
+
+
+def reciprocal_forward(coeffs, dtype=np.complex128) -> np.ndarray:
+    """b_0..b_N with (sum a_k z^k)(sum b_k z^k) = 1 + O(z^(N+1)), one coefficient at a time."""
+    a = np.asarray(coeffs, dtype=dtype)
+    b = np.zeros(a.size, dtype=dtype)
+    b[0] = 1 / a[0]
+    for k in range(1, a.size):
+        b[k] = -b[0] * np.dot(a[1 : k + 1], b[k - 1 :: -1])
+    return b
 
 
 def k_route_convolve(mu, nu, n: int) -> np.ndarray:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reciprocal_forward
 
 from monoconv.errors import DomainError
 from monoconv.measure import (
@@ -150,6 +153,12 @@ def test_short_transform_gives_no_further_moments():
         k_transform(CircleMeasure.haar(8), 16)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_moments_from_k_rejects_order_below_one(n):
+    with pytest.raises(ValueError, match=f"^truncation order must be >= 1, got {n}$"):
+        moments_from_k(KTransform.dirac(0.7, 8), n)
+
+
 @pytest.mark.parametrize("coeffs", [[0.0, np.nan], [0.0, 0.5, complex(np.inf, 0.0)]])
 def test_k_transform_rejects_non_finite_coefficients(coeffs):
     with pytest.raises(ValueError, match="finite"):
@@ -186,6 +195,30 @@ def test_round_trip_random_atomic():
         assert np.max(np.abs(m - mu.moments(n))) < n * eps
 
 
+@pytest.mark.parametrize("n", [256, 1024])
+def test_reciprocal_of_one_plus_psi_matches_long_double(n):
+    # 1/(1 + psi) = 1 - K, whose coefficients are at most 1 in modulus
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        a = (1 + rand_atomic(rng, max_atoms=5, min_atoms=2).psi_series(n)).coeffs
+        want = reciprocal_forward(a, np.clongdouble)
+        got = TruncatedSeries(a).reciprocal().coeffs
+        assert np.max(np.abs(got - want)) <= 0.1 * n * eps * np.max(np.abs(want))
+
+
+def test_reciprocal_at_the_order_cap_runs_in_linear_memory():
+    f = 1 + rand_atomic(np.random.default_rng(4096), max_atoms=5, min_atoms=2).psi_series(4096)
+    tracemalloc.start()
+    try:
+        f.reciprocal()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # b and the last step's full convolution are 64 KiB and 128 KiB
+    assert peak < 2**20
+
+
 # -- validation --------------------------------------------------------------
 
 
@@ -202,6 +235,12 @@ def test_validate_schur_violation():
 def test_validate_nonzero_origin():
     rep = validate_k(TruncatedSeries([0.5, 1.0] + [0.0] * 14))
     assert not rep.k_at_zero_ok
+
+
+def test_validate_order_zero_has_no_moments_to_check():
+    rep = validate_k(TruncatedSeries([0.0]))
+    assert rep.all_ok
+    assert (rep.max_grid_modulus, rep.min_toeplitz_eigenvalue) == (0.0, np.inf)
 
 
 def test_validate_random_atomic():

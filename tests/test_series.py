@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import horner_compose
+from oracles import horner_compose, reciprocal_forward
 
 from monoconv.errors import DomainError
 from monoconv.series import TruncatedSeries, _power_table, horner
@@ -221,6 +221,42 @@ def test_reciprocal_inverts():
         expect[0] = 1.0
         scale = max(1.0, float(np.max(np.abs(recip.coeffs))))
         assert np.max(np.abs(prod.coeffs - expect)) < 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # every order up to 40, and the seams where the last Newton step of
+    # 2^j + 1 coefficients switches from a full step to a one-coefficient one
+    order=st.integers(0, 40) | st.sampled_from([63, 64, 65, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025]),
+    seed=st.integers(0, 2**32 - 1),
+    modulus=st.floats(0.5, 2.0),
+    phase=st.floats(0.0, 2 * np.pi),
+    density=st.sampled_from([1.0, 0.1]) | st.floats(0.0, 1.0),
+)
+def test_reciprocal_matches_forward_substitution(order, seed, modulus, phase, density):
+    rng = np.random.default_rng(seed)
+    a = disk_coeffs(rng, order + 1, 1.0, density)
+    a[0] = modulus * np.exp(1j * phase)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reciprocal_forward(a)
+        # a_0 b is the reciprocal of a / a_0, the forward recurrence's response
+        # to one rounding error: its size amplifies the errors of both routes
+        response = np.max(np.abs(a[0] * want))
+    assume(np.isfinite(response))  # a root near 1/3 overflows b by order 650
+    got = TruncatedSeries(a).reciprocal().coeffs
+    gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    assert gap <= max(order, 1) * np.finfo(float).eps * response
+
+
+def test_reciprocal_matches_exact_rational_reciprocal():
+    n = 48
+    a = np.random.default_rng(48).uniform(-1, 1, n + 1)
+    # every float is a dyadic rational, so Fraction(x) is exact
+    exact = reciprocal_forward([Fraction(x) for x in a], object)
+    got = TruncatedSeries(a).reciprocal().coeffs
+    gap = np.array([float(Fraction(x) - e) for x, e in zip(got.real, exact)])
+    assert np.all(got.imag == 0)
+    assert np.all(np.abs(gap) <= n * np.finfo(float).eps * max(abs(float(e)) for e in exact))
 
 
 def test_immutability():
