@@ -13,8 +13,9 @@ one.
 
 Exit codes: 0 success, 2 invalid input (malformed JSON, schema or
 validation errors, a truncation order above 4096, a gw run of more than
-10^5 generations, an --out path that cannot be written: a missing
-directory or a directory itself), 3 mathematical domain errors, 4
+10^5 generations, a verify-ops run of more than 10^4 cases, an --out path
+that cannot be written: a missing directory or a directory itself), 3
+mathematical domain errors, 4
 numerical failures (step-size underflow, population overflow, a request
 too large to allocate).
 """
@@ -47,6 +48,9 @@ _MAX_ORDER = 4096
 # Largest generation count accepted (gw --n): the theory column iterates the
 # generating function once per generation and sample point.
 _MAX_GENERATIONS = 10**5
+# Largest case count accepted (verify-ops --cases): a case takes about 1.5 ms
+# and keeps its summary in the report, so 10^4 cases run for about 15 s.
+_MAX_CASES = 10**4
 
 
 class InputError(ValueError):
@@ -365,6 +369,8 @@ def main(argv=None) -> int:
             raise InputError(f"--order: must be <= {_MAX_ORDER}, got {args.order}")
         if getattr(args, "n", 0) > _MAX_GENERATIONS:
             raise InputError(f"--n: must be <= {_MAX_GENERATIONS}, got {args.n}")
+        if getattr(args, "cases", 0) > _MAX_CASES:
+            raise InputError(f"--cases: must be <= {_MAX_CASES}, got {args.cases}")
         _write(_render(args.func(args)), args.out)
         return 0
     except DomainError as exc:

@@ -9,7 +9,11 @@ canonical form of a cfree word, computed apart from ``Word``.
 ``NestedTupleCFree`` is the two-state recursion on states that carry every
 letter's polynomial, re-deriving psi tails, phi values and merges (full
 polynomial products) at each state; the interned evaluator must agree with
-it exactly.
+it exactly.  ``DropKeepCFree`` is the interned evaluator under the
+recursion value(s) = psi(l) * value(drop) + value(keep) at the first letter
+l of s that splits, keep being s with l centered, every keep state
+memoized and the evaluator's zero rules applied, where
+:class:`monoconv.cfree.CFreeEvaluator` walks each state once.
 ``CumulantCFree`` is the same functional by the moment-cumulant formula of
 Bożejko, Leinert & Speicher (Pacific J. Math. 175, 1996): a word is spelled
 out one generator per position, and its value is a sum over the
@@ -48,7 +52,7 @@ from itertools import combinations, groupby, product
 
 import numpy as np
 
-from monoconv.cfree import _tail
+from monoconv.cfree import CFreeEvaluator, _tail
 from monoconv.embedding import default_grid
 from monoconv.measure import KTransform, k_transform, moments_from_k
 from monoconv.series import TruncatedSeries
@@ -171,6 +175,56 @@ def _poly_mul(a, b):
             if cb != 0:
                 out[i + j] = out[i + j] + ca * cb
     return tuple(out)
+
+
+class DropKeepCFree(CFreeEvaluator):
+    """Two-state product functional by the drop/keep recursion on interned letters.
+
+    Only the recursion differs from the evaluator's walk: letters, splits,
+    phi values and merges are the evaluator's own.
+    """
+
+    def _value(self, state):
+        if not state:
+            return 1
+        if len(state) == 1:
+            return self._phi_value(state[0])
+        hit = self._memo.get(state)
+        if hit is not None:
+            return hit
+        for i, letter in enumerate(state):
+            split = self._splits[letter]
+            if split is None:
+                split = self._split(letter)
+            if split:
+                scalar, centered = split
+                drop = self._value(self._merge(state[:i], state[i + 1 :]))
+                keep = self._value(state[:i] + (centered,) + state[i + 1 :])
+                if drop == 0:
+                    val = keep
+                elif keep == 0:
+                    val = scalar * drop
+                else:
+                    val = scalar * drop + keep
+                break
+        else:
+            val = 1
+            for factor in [self._phi_value(letter) for letter in state]:
+                if factor == 0:
+                    val = factor
+                    break
+                val = val * factor
+        self._memo[state] = val
+        return val
+
+    def _merge(self, left, right):
+        if not (left and right):
+            return left + right
+        pair = (left[-1], right[0])
+        joined = self._merged.get(pair)
+        if joined is None:
+            joined = self._join(pair)
+        return left[:-1] + (joined,) + right[1:]
 
 
 def noncrossing_partitions(points, algebra):

@@ -2,13 +2,13 @@ import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import comb, inf, nan
+from math import comb, inf, isnan, nan
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import CumulantCFree, NestedTupleCFree, merge_and_drop
+from oracles import CumulantCFree, DropKeepCFree, NestedTupleCFree, merge_and_drop
 
 import monoconv.cfree as cfree
 from monoconv.cfree import (
@@ -446,6 +446,106 @@ def test_short_moment_list_error_names_the_merged_order():
         NestedTupleCFree(phi, phi, phi, phi).eval(word)
     with pytest.raises(DomainError, match="moment of order 4 required but only 3 stored"):
         CFreeEvaluator(phi, phi, phi, phi).eval(word)
+
+
+# -- walk against the drop/keep recursion ------------------------------------------
+
+# moments near 1e200 overflow: a product of two is inf, and a sum of two
+# infinite terms of opposite sign is nan
+_huge_floats = st.sampled_from([1.0, -1.0]) | st.floats(0.5, 1.0).flatmap(lambda m: st.sampled_from([m * 1e200, -m * 1e200]))
+_walk_moment_kinds = {**_moments_of_kind, "huge float": _huge_floats}
+
+
+@st.composite
+def specialized_functionals(draw, kind):
+    """phi1, psi1, phi2, psi2 of one of the four specializations, 4 to 16 moments of the kind."""
+    moments = _walk_moment_kinds[kind]
+    moments = moments | moments.map(lambda m: 0 * m)  # a zero of the same type
+    phi1, psi1, phi2, psi2 = (MomentFunctional(draw(st.lists(moments, min_size=4, max_size=16))) for _ in range(4))
+    delta = MomentFunctional.delta()
+    return {
+        "free": (phi1, phi1, phi2, phi2),
+        "boolean": (phi1, delta, phi2, delta),
+        "monotone": (phi1, delta, phi2, phi2),
+        "independent": (phi1, psi1, phi2, psi2),
+    }[draw(st.sampled_from(("free", "boolean", "monotone", "independent")))]
+
+
+def _same_number(got, expect):
+    """got == expect, where nan matches nan in each real and imaginary part."""
+    if isinstance(got, complex) and isinstance(expect, complex):
+        return _same_number(got.real, expect.real) and _same_number(got.imag, expect.imag)
+    return got == expect or (isinstance(got, float) and isinstance(expect, float) and isnan(got) and isnan(expect))
+
+
+@pytest.mark.parametrize("kind", sorted(_walk_moment_kinds))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), words=st.lists(canonical_word(), min_size=1, max_size=6))
+def test_walk_matches_drop_keep_recursion(kind, data, words):
+    # same value and type, or the same first DomainError, word after word
+    # on one memo per side
+    _check_walk_against_recursion(data.draw(specialized_functionals(kind)), words)
+
+
+def _check_walk_against_recursion(functionals, words):
+    walk = CFreeEvaluator(*functionals)
+    recursion = DropKeepCFree(*functionals)
+    for word in words:
+        got = _outcome(walk.eval, word)
+        try:
+            expect = _outcome(recursion.eval, word)
+        except RecursionError:
+            # the recursion keeps splitting a centered letter whose psi tail
+            # overflowed (see the next test); the walk checks it once
+            assert any(abs(m) > 1e100 for functional in functionals for m in functional.moments)
+            continue
+        assert got[0] == expect[0]
+        assert type(got[1]) is type(expect[1])
+        assert _same_number(got[1], expect[1])
+
+
+def test_walk_checks_an_overflowed_centered_letter_once():
+    # x y x y drops y to x (x - 1e200), whose psi tail 1e200 - 1e200 * 1e200
+    # is -inf: its centered letter has psi value inf - inf = nan and
+    # centers to itself
+    phi = MomentFunctional([1e200] * 8)
+    word = Word(((1, 1), (2, 1), (1, 1), (2, 1)))
+    with pytest.raises(RecursionError):
+        DropKeepCFree(phi, phi, phi, phi).eval(word)
+    assert isnan(CFreeEvaluator(phi, phi, phi, phi).eval(word))
+
+
+def test_a_zero_factor_stops_an_overflowed_product():
+    # boolean: no letter splits, and phi(y^2) phi(x) = 1e200 * 1e200 is inf
+    # before the zero factor phi(y); inf * 0 would be nan
+    delta = MomentFunctional.delta()
+    functionals = (MomentFunctional([1e200]), delta, MomentFunctional([0.0, 1e200]), delta)
+    word = Word(((2, 2), (1, 1), (2, 1)))
+    assert CFreeEvaluator(*functionals).eval(word) == 0.0
+    assert DropKeepCFree(*functionals).eval(word) == 0.0
+    assert isnan(NestedTupleCFree(*functionals).eval(word))
+
+
+def test_a_zero_drop_value_is_not_multiplied_by_an_overflowed_psi_scalar():
+    # free: dropping y^2 from x y^2 x y leaves (x^2 - 1e200 x) y, whose first
+    # letter has psi value 1e200 - 1e200 * 1e200 = -inf and drop value
+    # phi(y) = 0; -inf * 0 would make the word nan
+    phi1, phi2 = MomentFunctional([1e200, 1e200]), MomentFunctional([0.0, -1e200, -1e200])
+    assert CFreeEvaluator(phi1, phi1, phi2, phi2).eval(Word(((1, 1), (2, 2), (1, 1), (2, 1)))) == -inf
+
+
+def test_walk_memoizes_no_partly_centered_state():
+    # the counts repeat exactly; the drop/keep recursion memoizes 9027 and
+    # 537 states on the same input
+    phi1 = MomentFunctional([Fraction(k % 5 - 2, k % 3 + 1) for k in range(18)])
+    phi2 = MomentFunctional([Fraction(k % 7 - 3, k % 4 + 1) for k in range(18)])
+    monotone = CFreeEvaluator(phi1, MomentFunctional.delta(), phi2, phi2)
+    for word in canonical_words(6, 3):
+        monotone.eval(word)
+    assert len(monotone._memo) <= 3132
+    free = CFreeEvaluator(phi1, phi1, phi2, phi2)
+    assert free.eval(Word(tuple((1 + i % 2, 1 + i % 3) for i in range(10)))) == Fraction(-14527, 162)
+    assert len(free._memo) <= 232
 
 
 # -- interned evaluator against the moment-cumulant formula ------------------------

@@ -16,6 +16,7 @@ import warnings
 
 import pytest
 
+from monoconv import opmodel
 from monoconv.cli import main
 
 UNIT = '{"atoms": [{"angle": 0.0, "weight": 1.0}]}'
@@ -146,6 +147,7 @@ CASES = [
     ("cfree-check-power-above-cap", ["cfree-check", "--max-len", "2", "--max-power", "129"], {}, 3, "sweep words of total power up to 258 exceed the cap 256"),
     ("verify-ops-cases-0", ["verify-ops", "--cases", "0"], {}, 2),
     ("verify-ops-cases-negative", ["verify-ops", "--cases", "-1"], {}, 2),
+    ("verify-ops-cases-above-cap", ["verify-ops", "--cases", "10001"], {}, 2, "--cases: must be <= 10000, got 10001"),
     ("verify-ops-negative-seed", ["verify-ops", "--cases", "1", "--seed", "-1"], {}, 2, "--seed: must be >= 0, got -1"),
     # arguments argparse rejects: bad option values, unknown and missing options
     ("verify-ops-cases-text", ["verify-ops", "--cases", "abc"], {}, 2),
@@ -200,6 +202,19 @@ def test_bad_input_gives_one_json_error_line(tmp_path, capsys, argv, files, code
     assert error["code"] == {2: "invalid-input", 3: "domain-error", 4: "numeric-failure"}[code]
     assert message is None or error["message"] == message
     assert caught == []  # a warning would print a second stderr line
+
+
+def test_verify_ops_accepts_the_case_cap(monkeypatch, capsys):
+    asked = []
+
+    def suite(seed, cases):
+        asked.append(cases)
+        return {"max_defect": 0.0, "cases": cases}
+
+    monkeypatch.setattr(opmodel, "random_composition_suite", suite)
+    assert main(["verify-ops", "--cases", "10000"]) == 0
+    assert asked == [10000]
+    assert json.loads(capsys.readouterr().out)["cases"] == 10000
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):
