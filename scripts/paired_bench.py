@@ -1,0 +1,201 @@
+"""Job-by-job paired timing of one benchmark workload on two checkouts.
+
+    python scripts/paired_bench.py --base ../parent --workload flow --passes 15 --seed 11
+
+One worker process runs per checkout, this one ("change") and ``--base``.
+Each imports its own checkout's ``src/monoconv`` and
+``perfbench/workloads.py``, builds each pass's jobs from (workload, seed,
+pass) and runs the jobs it is sent with ``workloads.run_job``, which times
+the call alone.  The driver sends every job of every pass to both workers,
+one after the other, and alternates which of them goes first, so a slow
+spell of a shared machine falls on both sides alike; a 15 s ``perfbench``
+run cannot tell a few per cent apart there, this can.  Pass 0 warms both
+workers up and is not counted.  BLAS runs on one thread, as in
+``perfbench/run.py``.
+
+It prints, per job kind and for the whole workload, the job count, both
+total times and both medians with their ratios (change / base), and every
+job whose output differs between the checkouts: exit code and stdout for a
+CLI job, the returned value for a library job.  Give this checkout as
+``--base`` for an A/A run, which shows the resolution.  It reads
+``perfbench/`` and changes nothing there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+# -- worker --------------------------------------------------------------------
+
+
+def _feed(h, value):
+    """Hash ``value`` whole: arrays by their bytes, containers by their items."""
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif dataclasses.is_dataclass(value):
+        _feed(h, (type(value).__name__, dataclasses.asdict(value)))
+    elif isinstance(value, dict):
+        _feed(h, sorted(value.items(), key=lambda kv: repr(kv[0])))
+    elif isinstance(value, (list, tuple)):
+        h.update(f"{type(value).__name__}{len(value)}(".encode())
+        for item in value:
+            _feed(h, item)
+        h.update(b")")
+    else:
+        h.update(repr(value).encode())
+
+
+def _digest(output, error) -> str:
+    h = hashlib.sha256()
+    _feed(h, error if output is None else output)
+    return h.hexdigest()
+
+
+def worker(checkout: Path, workload: str, seed: int) -> int:
+    """Serve one JSON request per stdin line until stdin closes.
+
+    ``{"pass": p}`` builds pass p and answers its job ids, kinds and run
+    order; ``{"job": i}`` runs job i of that pass and answers its time and
+    output digest.
+    """
+    sys.path[:0] = [str(checkout), str(checkout / "src")]
+    from perfbench import workloads
+
+    import monoconv
+
+    channel, sys.stdout = sys.stdout, sys.stderr  # stray prints stay off the channel
+
+    def reply(obj):
+        channel.write(json.dumps(obj) + "\n")
+        channel.flush()
+
+    reply({"monoconv": monoconv.__file__})
+    jobs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in sys.stdin:
+            request = json.loads(line)
+            if "pass" in request:
+                workdir = Path(tmp) / f"pass{request['pass']}"
+                workdir.mkdir()
+                jobs = workloads.materialize(workloads.build(workload, seed, request["pass"]), workdir)
+                order = workloads.pass_order(seed, request["pass"], len(jobs))
+                reply({"jobs": [[job["id"], job["kind"]] for job in jobs], "order": order})
+            else:
+                seconds, output, error = workloads.run_job(jobs[request["job"]])
+                reply({"seconds": seconds, "digest": _digest(output, error), "failed": output is None})
+    return 0
+
+
+# -- driver --------------------------------------------------------------------
+
+
+class _Worker:
+    def __init__(self, checkout: Path, workload: str, seed: int):
+        env = dict(os.environ, **{var: "1" for var in BLAS_ENV})
+        argv = [sys.executable, str(Path(__file__).resolve()), "--worker", str(checkout),
+                "--workload", workload, "--seed", str(seed)]
+        self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+        self.module = self._read()["monoconv"]
+
+    def _read(self):
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"worker exited with code {self.proc.wait()}")
+        return json.loads(line)
+
+    def ask(self, request):
+        self.proc.stdin.write(json.dumps(request) + "\n")
+        self.proc.stdin.flush()
+        return self._read()
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def _row(name, base, change):
+    n = len(base)
+    tb, tc = sum(base), sum(change)
+    mb, mc = statistics.median(base), statistics.median(change)
+    return f"{name:18s} {n:6d} {1e3 * tb:10.1f} {1e3 * tc:10.1f} {tc / tb:7.3f} {1e6 * mb:10.1f} {1e6 * mc:10.1f} {mc / mb:7.3f}"
+
+
+def run(base: Path, workload: str, passes: int, seed: int, out=sys.stdout) -> int:
+    sides = [_Worker(base, workload, seed), _Worker(ROOT, workload, seed)]  # base, change
+    times = defaultdict(lambda: ([], []))  # kind -> (base seconds, change seconds)
+    differ, failed = [], [0, 0]
+    sent = 0
+    try:
+        print(f"base   {sides[0].module}\nchange {sides[1].module}", file=out)
+        for pass_index in range(passes + 1):
+            plans = [side.ask({"pass": pass_index}) for side in sides]
+            if plans[0] != plans[1]:
+                raise RuntimeError(f"pass {pass_index}: the checkouts build different job lists")
+            kinds = dict(plans[0]["jobs"])
+            for job in plans[0]["order"]:
+                first = sent % 2
+                answers = [None, None]
+                for side in (first, 1 - first):
+                    answers[side] = sides[side].ask({"job": job})
+                sent += 1
+                if pass_index == 0:  # warm-up
+                    continue
+                kind = kinds[job]
+                for side, answer in enumerate(answers):
+                    times[kind][side].append(answer["seconds"])
+                    failed[side] += answer["failed"]
+                if answers[0]["digest"] != answers[1]["digest"]:
+                    differ.append((pass_index, job, kind))
+    finally:
+        for side in sides:
+            side.close()
+    print(f"{workload}, seed {seed}, passes 1-{passes}; times in ms (totals) and us (medians)", file=out)
+    print(f"{'kind':18s} {'jobs':>6s} {'base':>10s} {'change':>10s} {'ratio':>7s} "
+          f"{'base p50':>10s} {'chg p50':>10s} {'ratio':>7s}", file=out)
+    for kind in sorted(times):
+        print(_row(kind, *times[kind]), file=out)
+    every = [sum((times[k][side] for k in times), []) for side in (0, 1)]
+    print(_row("all", *every), file=out)
+    print(f"failed jobs: base {failed[0]}, change {failed[1]}", file=out)
+    print(f"jobs whose outputs differ: {len(differ)}", file=out)
+    for pass_index, job, kind in differ:
+        print(f"  pass {pass_index} job {job} ({kind})", file=out)
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", type=Path, help="checkout to compare against (its src/ and perfbench/)")
+    p.add_argument("--workload", required=True, choices=("coeff", "flow", "crosscheck"))
+    p.add_argument("--passes", type=int, default=10, help="timed passes 1..P, after warm-up pass 0")
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.worker:
+        return worker(args.worker.resolve(), args.workload, args.seed)
+    if args.base is None:
+        p.error("--base is required")
+    if args.passes < 1:
+        p.error("--passes must be >= 1")
+    return run(args.base.resolve(), args.workload, args.passes, args.seed)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,7 +24,8 @@ def atoms(angles, weights):
         raise ValueError("atom angles and weights must be finite")
     if np.any(w < 0):
         raise ValueError("atom weights must be nonnegative")
-    a = canonical_angle(a)
+    np.mod(a, TWO_PI, out=a)  # canonical_angle, in place on the fresh array
+    a[a == TWO_PI] = 0.0
     a.setflags(write=False)
     w.setflags(write=False)
     return a, w

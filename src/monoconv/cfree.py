@@ -439,7 +439,8 @@ def monotone_specialization_defect(phi1, phi2, max_len: int = 8, max_power: int 
     is a sum of moment monomials of total order N), so a gap on the
     rescaled moments is s^N times the true one, and the defect returned is
     that gap divided by s^N: exact, and a ``Fraction`` when nonzero.  Float
-    or complex moments take s = 1 unchanged.
+    or complex moments take s = 1 unchanged; where the two sides of a word
+    disagree by NaN (an overflowed side), the defect returned is NaN.
     """
     _check_sweep_bounds(max_len, max_power)
     order = max_len * max_power  # no word asks for a higher moment
@@ -458,7 +459,8 @@ def monotone_specialization_defect(phi1, phi2, max_len: int = 8, max_power: int 
             gap = abs(lhs - rhs)
             if isinstance(gap, Rational):
                 gap = Fraction(gap, s ** sum(p for _, p in word.letters))
-            worst = max(worst, gap)
+            if gap > worst or gap != gap:  # a NaN gap stays the defect: nothing beats it
+                worst = gap
         count += 1
     return worst, count
 

@@ -7,9 +7,12 @@ text and one writer puts that on stdout or, after the command has finished,
 at --out.  Identical invocations with identical seeds produce
 byte-identical output.
 
-:func:`main` parses with one parser, built when the module is imported and
-reused by every call in the process; :func:`build_parser` returns a fresh
-one.
+:func:`main` parses with the parser built when the module is imported, and
+reused by every call in the process: an argv that starts with a subcommand
+name goes straight to that subcommand's parser, which is what the top-level
+parser would hand it to after a pass of its own, and any other argv (empty,
+an unknown name, -h) to the top-level parser.  :func:`build_parser` returns
+a fresh one.
 
 Exit codes: 0 success, 2 invalid input (malformed JSON, schema or
 validation errors, a truncation order above 4096, a gw run of more than
@@ -72,11 +75,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path):
+    """The JSON value in the file at ``path``, read as bytes and decoded once.
+
+    Strict UTF-8 (a BOM or an invalid byte is an error) with line ends
+    translated as in text mode, so that a JSON error names the same line.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
 
@@ -295,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multiplicative monotone convolution toolkit for circle measures.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices  # subcommand name -> its parser
 
     c = sub.add_parser("convolve", help="monotone convolution of two measures")
     c.add_argument("mu", help="JSON file for the left measure")
@@ -360,9 +371,24 @@ def _fail(code, kind, message):
     return code
 
 
+def _parse_args(argv):
+    """``_PARSER.parse_args(argv)``, with the named subcommand's parser when argv[0] names one.
+
+    The top-level parser hands everything after the subcommand name to that
+    parser, so this gives the same namespace, error or help text.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _PARSER.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
         if getattr(args, "seed", 0) < 0:  # numpy's own message names no option
             raise InputError(f"--seed: must be >= 0, got {args.seed}")
         if getattr(args, "order", 0) > _MAX_ORDER:

@@ -16,6 +16,8 @@ v'(0) = -u(0).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ._util import atom_moments, atoms
@@ -43,7 +45,7 @@ class HerglotzGenerator:
 
     def __init__(self, b: float = 0.0, rho=()):
         b = float(b)
-        if not np.isfinite(b):
+        if not math.isfinite(b):
             raise ValueError("Herglotz b must be finite")
         pairs = list(rho)
         self.b = b

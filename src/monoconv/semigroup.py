@@ -221,6 +221,10 @@ class _PointKernel:
         abs_v = hypot(self.k[0].real, self.k[0].imag)
         return self.abs_y / abs_v if abs_v > 0.0 else inf
 
+    def inside(self) -> bool:
+        """Whether the current value lies in the open disk."""
+        return self.abs_y < 1.0
+
 
 class _BatchKernel:
     """The DOP853 trial step for any number of points at once, on arrays.
@@ -272,11 +276,15 @@ class _BatchKernel:
         """The least |y| / |v| over the points, from the stored slopes."""
         return float(np.fmin.reduce(self.abs_y / np.abs(self.w[1]), initial=inf))
 
+    def inside(self) -> bool:
+        """Whether every current value lies in the open disk."""
+        return bool(np.all(self.abs_y < 1.0))
 
-def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float) -> np.ndarray:
+
+def _integrate(f, y0: np.ndarray, t_out: list, tol: float) -> np.ndarray:
     """DOP853 integration of y' = f(y) for every entry of ``y0`` at once.
 
-    ``t_out`` holds sorted, distinct, nonnegative output times; the result
+    ``t_out`` is a sorted list of distinct nonnegative output times; the result
     has one row per output time, and a row for t = 0 is ``y0`` exactly.  A
     step takes 12 new evaluations of ``f``: 11 stages and the slope at the
     new value, which is reused as the first stage of the next step.  One
@@ -297,12 +305,12 @@ def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float) -> np.ndarray:
     or not.
     """
     kernel = _PointKernel(f, complex(y0[0])) if y0.size == 1 else _BatchKernel(f, y0)
-    out = np.empty((t_out.size, y0.size), dtype=complex)
+    out = np.empty((len(t_out), y0.size), dtype=complex)
     t = 0.0
     dt = 0.1
     n_steps = 0
     with np.errstate(all="ignore"):  # off-disk stages may overflow or hit an atom
-        for row, t_end in enumerate(t_out.tolist()):
+        for row, t_end in enumerate(t_out):
             dt_floor = _QUARTER_EPS * t_end
             while t_end - t > 16.0 * dt_floor:  # else within machine resolution
                 if n_steps >= _MAX_STEPS:
@@ -329,7 +337,7 @@ def _integrate(f, y0: np.ndarray, t_out: np.ndarray, tol: float) -> np.ndarray:
                 # an accepted step clamped to an output time keeps the proposal
                 dt = max(dt, h * factor) if accepted and h < dt else h * factor
                 n_steps += 1
-            if not np.all(kernel.abs_y < 1.0):
+            if not kernel.inside():
                 raise StepSizeUnderflowError("flow left the unit disk; integration unreliable")
             out[row] = kernel.y
     return out
@@ -339,25 +347,28 @@ def evolve(gen, times, points, tol: float = 1e-10) -> np.ndarray:
     """K_t(z) for every requested time and point, as a (len(times), len(points)) array.
 
     One adaptive integration of dK/dt = v(K) from K_0(z) = z runs through
-    the sorted distinct times, with one step shared by all points; rows
-    come back in the caller's order, and rows for t = 0 are the inputs
-    exactly.  Because the step is shared, a value depends on the other
-    points of the call at the level of the tolerance.  Requires |z| < 1
-    and finite t >= 0 for every point and time, and a finite tol > 0 (a
+    the sorted distinct times (a list of Python floats, -0.0 counting as
+    0.0), with one step shared by all points; rows come back in the
+    caller's order, and rows for t = 0 are the inputs exactly.  Because the
+    step is shared, a value depends on the other points of the call at the
+    level of the tolerance.  Requires |z| < 1 and finite t >= 0 for every
+    point and time (a ``DomainError`` otherwise), and a finite tol > 0 (a
     ``ValueError`` otherwise).  At most 10**6 steps are taken.  The modulus
     |K_t| is non-increasing along the exact flow, so the values stay inside
     the disk.
     """
-    ts = np.asarray(times, dtype=float).ravel()
+    # the times are few, so they are checked, sorted and mapped in Python
+    ts = np.asarray(times, dtype=float).ravel().tolist()
     zs = np.asarray(points, dtype=complex).ravel()
     if not np.all(np.abs(zs) < 1.0):
         raise DomainError("evolution is defined for |z| < 1")
-    if not np.all((ts >= 0) & (ts < np.inf)):
+    if not all(0.0 <= t < inf for t in ts):  # False on NaN
         raise DomainError("evolution time must be finite and >= 0")
-    if not 0 < tol < np.inf:
+    if not 0 < tol < inf:
         raise ValueError("tolerance must be positive and finite")
-    grid, inverse = np.unique(ts, return_inverse=True)
-    return _integrate(gen.vector_field_at, zs, grid, tol)[inverse]
+    grid = sorted(set(ts))
+    row = {t: i for i, t in enumerate(grid)}
+    return _integrate(gen.vector_field_at, zs, grid, tol)[[row[t] for t in ts]]
 
 
 def evolve_pointwise(gen, t: float, z: complex, tol: float = 1e-10) -> complex:

@@ -45,14 +45,23 @@ known coefficients by Newton steps.
 formatting, a walk over the payload and a per-cell type dispatch; the one
 renderer, with a JSON ``default`` hook and ``str`` per cell, must write the
 same bytes.
+``load_json_text`` is the command line's former input reader, ``json.load``
+on a UTF-8 text stream, where :func:`monoconv.cli._load_json` decodes the
+file's bytes once; both must fail with the same message.
+``evolve_by_unique`` is :func:`monoconv.semigroup.evolve` with its former
+time bookkeeping, the grid and row map of ``np.unique(return_inverse=True)``,
+where ``evolve`` sorts a set of Python floats.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, groupby, product
 
 import numpy as np
 
+from monoconv import semigroup
 from monoconv.cfree import CFreeEvaluator, _tail
+from monoconv.cli import InputError
 from monoconv.embedding import default_grid
 from monoconv.measure import KTransform, k_transform, moments_from_k
 from monoconv.series import TruncatedSeries
@@ -370,3 +379,22 @@ def csv_cell(v) -> str:
     if isinstance(v, complex):
         return f"{v.real!r}{v.imag:+}j"
     return str(v)
+
+
+def load_json_text(path):
+    """The JSON value in the file at ``path``, by ``json.load`` on a UTF-8 text stream."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def evolve_by_unique(gen, times, points, tol: float = 1e-10) -> np.ndarray:
+    """K_t(z) as :func:`monoconv.semigroup.evolve`, on the grid and row map of ``np.unique``; no domain checks."""
+    ts = np.asarray(times, dtype=float).ravel()
+    zs = np.asarray(points, dtype=complex).ravel()
+    grid, inverse = np.unique(ts, return_inverse=True)
+    return semigroup._integrate(gen.vector_field_at, zs, grid.tolist(), tol)[inverse]

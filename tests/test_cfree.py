@@ -250,6 +250,33 @@ def test_integer_moments_sweep_unscaled(monkeypatch):
     assert seen == {(phi1.moments[:12], phi2.moments[:12])}  # 12 = 4 * 3, the highest order asked
 
 
+def test_a_nan_gap_makes_the_float_sweep_defect_nan():
+    # moments from {+-1e200, 1e150, 1, 0.5, 0}: on y x y^2 the monotone side is
+    # phi1(1) phi2(1) phi2(2) = (1e150 * -1e200) * 0.0 = nan, the two-state side 0.0
+    phi1 = MomentFunctional([1e150, 1.0, 1.0, 0.5, 1.0, 0.0, -1e200, 1e150])
+    phi2 = MomentFunctional([-1e200, 0.0, 1e200, 0.5, 0.0, -1e200, -1e200, 0.5])
+    word = Word(((2, 1), (1, 1), (2, 2)))
+    assert CFreeEvaluator(phi1, MomentFunctional.delta(), phi2, phi2).eval(word) == 0.0
+    assert isnan(monotone_eval(word, phi1, phi2))
+    defect, count = monotone_specialization_defect(phi1, phi2, max_len=4, max_power=2)
+    assert isnan(defect) and count == 60
+
+
+@pytest.mark.parametrize(
+    "offsets, expected",
+    [([0.5, nan, 2.0, 3.0], nan), ([0.5, 2.0, 3.0, nan], nan), ([0.5, 2.0, 0.25, 0.0], 2.0)],
+)
+def test_a_nan_gap_stays_the_defect_for_the_rest_of_the_sweep(monkeypatch, offsets, expected):
+    # the 4 words of length <= 2 and power 1, with the monotone side moved by a set gap each
+    phi = MomentFunctional([0.5, 0.25])
+    monotone = cfree.monotone_eval
+    gaps = iter(offsets)
+    monkeypatch.setattr(cfree, "monotone_eval", lambda word, a, b: monotone(word, a, b) + next(gaps))
+    defect, count = monotone_specialization_defect(phi, phi, max_len=2, max_power=1)
+    assert count == 4
+    assert isnan(defect) if isnan(expected) else defect == expected
+
+
 def test_delta_moments_sweep_as_delta():
     # delta stores no moments but vanishes at every order, rescaled or not
     phi2 = frac_moments(np.random.default_rng(7), 6)

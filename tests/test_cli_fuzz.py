@@ -12,11 +12,13 @@ must print.
 """
 
 import json
+import sys
 import warnings
 
 import pytest
+from oracles import load_json_text
 
-from monoconv import opmodel
+from monoconv import cli, opmodel
 from monoconv.cli import main
 
 UNIT = '{"atoms": [{"angle": 0.0, "weight": 1.0}]}'
@@ -223,3 +225,97 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     assert exc.value.code == 0
     out, err = capsys.readouterr()
     assert out.startswith("usage: monoconv") and err == ""
+
+
+# -- the subcommand parser against the top-level one ---------------------------
+
+PARSER_EDGE_ARGVS = [
+    ["convolve", "mu.json", "nu.json", "--ord", "8"],  # abbreviations
+    ["convolve", "mu.json", "nu.json", "--form", "csv", "--o", "m.csv"],
+    ["evolve", "g.json", "--t", "1", "--z", "0.5", "--to", "1e-9"],
+    ["cfree-check", "--max", "3"],  # ambiguous: --max-len or --max-power
+    ["evolve", "g.json", "--t", "1", "--z", "0.5", "--bogus"],  # unknown option
+    ["evolve", "g.json", "--z", "0.5"],  # missing required option
+    ["evolve", "g.json", "--t"],  # option without its value
+    ["evolve", "g.json", "--t", "1", "--z=-0.5", "--z", "-0.25"],
+    ["evolve", "--", "g.json", "--t", "1"],
+    ["counterexample", "--a", "0.5", "--b", "0.5", "--"],
+    ["convolve", "mu.json"],  # missing positional
+    ["convolve", "mu.json", "nu.json", "extra.json"],
+    ["evolve"],
+    ["nosuch", "--t", "1"],
+    [],
+    ["--help"],
+    ["-h"],
+    ["--bogus", "evolve"],
+    ["--", "evolve", "g.json", "--t", "1"],
+]
+PARSE_ARGVS = [
+    list(argv)
+    for argv in dict.fromkeys(  # each argv once, in order
+        tuple(argv)
+        for argv in [c[1] for c in CASES + TOP_LEVEL_CASES]
+        + [[name, flag] for name in cli._PARSER.commands for flag in ("--help", "-h", "--he")]
+        + PARSER_EDGE_ARGVS
+    )
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:  # values by repr, so that a NaN option value equals itself
+        outcome = ("namespace", {name: repr(value) for name, value in vars(parse(argv)).items()})
+    except cli.InputError as exc:
+        outcome = ("error", str(exc))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=[" ".join(argv) or "empty" for argv in PARSE_ARGVS])
+def test_subcommand_parser_parses_as_the_top_level_parser(capsys, argv):
+    # the same namespace, InputError message, or exit code and printed text
+    assert _parse_outcome(capsys, cli._parse_args, argv) == _parse_outcome(capsys, cli._PARSER.parse_args, argv)
+
+
+def test_subcommand_parser_reads_sys_argv_by_default(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["monoconv", "gw", "law.json", "--n", "2", "--trials", "10"])
+    assert _parse_outcome(capsys, cli._parse_args, None) == _parse_outcome(capsys, cli._PARSER.parse_args, None)
+
+
+# -- the input reader against a text-mode reader --------------------------------
+
+MALFORMED_CR = b'{"atoms": [\r{"angle": 0.0,\r"weight": }]}'
+READ_CASES = [
+    # name, file bytes, exit code, message (None: success) with {path} for the file
+    ("bom", b"\xef\xbb\xbf" + UNIT.encode(), 2,
+     "{path}: malformed JSON at line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ("invalid-utf8", b'{"atoms": [{"angle": 0.0, "weight": 1.0}], "x": "\xff\xfe"}', 2,
+     "'utf-8' codec can't decode byte 0xff in position 49: invalid start byte"),
+    ("truncated-utf8", UNIT.encode() + b" \xe2\x82", 2,
+     "'utf-8' codec can't decode bytes in position 43-44: unexpected end of data"),
+    ("crlf-malformed", MALFORMED_CR.replace(b"\r", b"\r\n"), 2,
+     "{path}: malformed JSON at line 3: Expecting value"),
+    ("cr-malformed", MALFORMED_CR, 2, "{path}: malformed JSON at line 3: Expecting value"),
+    ("lf-malformed", MALFORMED_CR.replace(b"\r", b"\n"), 2, "{path}: malformed JSON at line 3: Expecting value"),
+    ("cr-in-string", b'{"atoms": [{"angle": 0.0, "weight": 1.0}], "x": "a\rb"}', 2,
+     "{path}: malformed JSON at line 1: Invalid control character at"),
+    ("crlf-valid", UNIT.replace(", ", ",\r\n").encode(), 0, None),
+    ("cr-valid", UNIT.replace(", ", ",\r").encode(), 0, None),
+    ("empty", b"", 2, "{path}: malformed JSON at line 1: Expecting value"),
+]
+
+
+@pytest.mark.parametrize("data, code, message", [c[1:] for c in READ_CASES], ids=[c[0] for c in READ_CASES])
+def test_input_read_fails_as_the_text_mode_reader(tmp_path, capsys, monkeypatch, data, code, message):
+    path = tmp_path / "mu.json"
+    path.write_bytes(data)
+    unit = tmp_path / "unit.json"
+    unit.write_text(UNIT)
+    argv = ["convolve", str(path), str(unit), "--order", "4"]
+    got = (main(argv), *capsys.readouterr())
+    monkeypatch.setattr(cli, "_load_json", load_json_text)
+    assert got == (main(argv), *capsys.readouterr())
+    assert got[0] == code
+    if message is not None:
+        assert json.loads(got[2])["error"]["message"] == message.format(path=path)
+

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import recursion_flow_coefficients
+from oracles import evolve_by_unique, recursion_flow_coefficients
 
 import monoconv.semigroup as semigroup
 from monoconv._util import ring_grid
@@ -233,6 +233,40 @@ def test_evolve_batch_domain_checks():
         evolve(ConstGen(), [1.0, -0.1], [0.3, 0.2j])
     with pytest.raises(DomainError):
         evolve(ConstGen(), [float("nan")], [0.3])
+
+
+bookkeeping_generators = [
+    HerglotzGenerator(0.3, [(1.0, 0.5), (4.0, 0.25)]),
+    BranchingGenerator.yule(0.8, 2),
+]
+repeated_times = st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.6, 1.0]) | st.floats(0.0, 1.5), max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gen=st.sampled_from(bookkeeping_generators),
+    times=repeated_times,
+    points=st.lists(st.complex_numbers(max_magnitude=0.85), min_size=1, max_size=3),
+)
+def test_time_grid_and_row_map_match_np_unique(gen, times, points):
+    # repeats, any order, 0.0 next to -0.0 and no time at all, at one point and at several
+    got = evolve(gen, times, points)
+    want = evolve_by_unique(gen, times, points)
+    assert got.shape == want.shape == (len(times), len(points))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, -1e-300])
+@pytest.mark.parametrize("points", [[0.3], [0.3, 0.2j]])
+def test_a_bad_time_anywhere_raises_the_time_message(bad, points):
+    for times in ([bad], [0.5, bad], [bad, 0.0, 0.5, 0.5]):
+        with pytest.raises(DomainError) as exc:
+            evolve(ConstGen(), times, points)
+        assert str(exc.value) == "evolution time must be finite and >= 0"
+    # the points are checked first
+    with pytest.raises(DomainError) as exc:
+        evolve(ConstGen(), [bad], points + [1.0])
+    assert str(exc.value) == "evolution is defined for |z| < 1"
 
 
 # -- the DOP853 pair -----------------------------------------------------------
