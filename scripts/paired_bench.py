@@ -1,6 +1,7 @@
 """Job-by-job paired timing of one benchmark workload on two checkouts.
 
     python scripts/paired_bench.py --base ../parent --workload flow --passes 15 --seed 11
+    python scripts/paired_bench.py --base ../parent --workload crosscheck --kinds cfree_check
 
 One worker process runs per checkout, this one ("change") and ``--base``.
 Each imports its own checkout's ``src/monoconv`` and
@@ -17,8 +18,11 @@ It prints, per job kind and for the whole workload, the job count, both
 total times and both medians with their ratios (change / base), and every
 job whose output differs between the checkouts: exit code and stdout for a
 CLI job, the returned value for a library job.  Give this checkout as
-``--base`` for an A/A run, which shows the resolution.  It reads
-``perfbench/`` and changes nothing there.
+``--base`` for an A/A run, which shows the resolution.  ``--kinds`` runs
+only the jobs of the given comma-separated kinds, so one kind can be paired
+without the rest of its workload; a kind the workload does not have exits
+with code 2 and names the kinds it has.  It reads ``perfbench/`` and
+changes nothing there.
 """
 
 from __future__ import annotations
@@ -137,7 +141,8 @@ def _row(name, base, change):
     return f"{name:18s} {n:6d} {1e3 * tb:10.1f} {1e3 * tc:10.1f} {tc / tb:7.3f} {1e6 * mb:10.1f} {1e6 * mc:10.1f} {mc / mb:7.3f}"
 
 
-def run(base: Path, workload: str, passes: int, seed: int, out=sys.stdout) -> int:
+def run(base: Path, workload: str, passes: int, seed: int, kinds=None, out=sys.stdout) -> int:
+    """Pair the jobs of ``kinds`` (every kind when None) pass by pass; the exit code."""
     sides = [_Worker(base, workload, seed), _Worker(ROOT, workload, seed)]  # base, change
     times = defaultdict(lambda: ([], []))  # kind -> (base seconds, change seconds)
     differ, failed = [], [0, 0]
@@ -148,8 +153,15 @@ def run(base: Path, workload: str, passes: int, seed: int, out=sys.stdout) -> in
             plans = [side.ask({"pass": pass_index}) for side in sides]
             if plans[0] != plans[1]:
                 raise RuntimeError(f"pass {pass_index}: the checkouts build different job lists")
-            kinds = dict(plans[0]["jobs"])
+            kind_of = dict(plans[0]["jobs"])
+            unknown = sorted(set(kinds or ()) - set(kind_of.values()))
+            if unknown:
+                print(f"unknown job kind {', '.join(unknown)}; workload {workload} has "
+                      f"{', '.join(sorted(set(kind_of.values())))}", file=sys.stderr)
+                return 2
             for job in plans[0]["order"]:
+                if kinds is not None and kind_of[job] not in kinds:
+                    continue
                 first = sent % 2
                 answers = [None, None]
                 for side in (first, 1 - first):
@@ -157,7 +169,7 @@ def run(base: Path, workload: str, passes: int, seed: int, out=sys.stdout) -> in
                 sent += 1
                 if pass_index == 0:  # warm-up
                     continue
-                kind = kinds[job]
+                kind = kind_of[job]
                 for side, answer in enumerate(answers):
                     times[kind][side].append(answer["seconds"])
                     failed[side] += answer["failed"]
@@ -186,6 +198,7 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True, choices=("coeff", "flow", "crosscheck"))
     p.add_argument("--passes", type=int, default=10, help="timed passes 1..P, after warm-up pass 0")
     p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--kinds", help="comma-separated job kinds to pair (default: every kind)")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
@@ -194,7 +207,10 @@ def main(argv=None) -> int:
         p.error("--base is required")
     if args.passes < 1:
         p.error("--passes must be >= 1")
-    return run(args.base.resolve(), args.workload, args.passes, args.seed)
+    kinds = None if args.kinds is None else {kind for kind in args.kinds.split(",") if kind}
+    if kinds == set():
+        p.error("--kinds names no job kind")
+    return run(args.base.resolve(), args.workload, args.passes, args.seed, kinds)
 
 
 if __name__ == "__main__":

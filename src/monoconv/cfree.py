@@ -25,10 +25,22 @@ derived once; states are tuples of letter ids, and the memo keeps the
 value of each state a walk starts from: the words evaluated and the drop
 states their walks reach.  A partly centered state is never formed.
 Terms and factors that are exactly zero are skipped rather than
-multiplied or added.  The word length is capped to keep the expansion
-bounded; the largest sweep the caps admit, 976,560 words of length up to
-8 and power up to 5, memoizes about 1.2 * 10^6 states (16 s and 240 MB
-max RSS on one core of a shared 2-core x86-64 machine).
+multiplied or added.
+
+Words that share a prefix share its walk.  The walk of s = l_1 ... l_m
+leaves a record: c_1 ... c_m, the split of l_m, the product of the
+phi(c_j), and the drop states of the split letters before l_m.  Those
+drops, the letter x appended, are the drops of s x at the same letters,
+so the walk of s x extends the record: it reads their values, then the
+value of l_m's drop c_1 ... c_{m-2} (c_{m-1} x), then splits x and reads
+the value of its drop c_1 ... c_m, and multiplies in phi(c_x).  An
+evaluator keeps the records of the last word's prefixes, and the sweep
+yields its words depth first, so each word extends the record of the
+word before it or of one of that word's prefixes.  The word length is
+capped to keep the expansion bounded; the largest sweep the caps admit,
+976,560 words of length up to 8 and power up to 5, memoizes about
+1.2 * 10^6 states (7.3 s and 226 MB max RSS on one core of a shared
+2-core x86-64 machine).
 
 Specializations: psi_i = phi_i gives the free product, psi_i = delta
 (vanishing on all generator powers) the boolean product, and
@@ -41,7 +53,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _iter_product
 from numbers import Rational
 
 from .errors import DomainError
@@ -231,6 +242,17 @@ class CFreeEvaluator:
     inf - inf = nan; the centered letter a split leaves in its place is not
     checked again.
 
+    A word extends the record its prefix one letter shorter left (see the
+    module docstring) when the evaluator keeps it: it keeps the records of
+    the prefixes of the last word, at most 16.  A word the memo holds is
+    extended all the same, to keep its record, which reads only memoized
+    values.  A word of two letters is walked from scratch, then its record
+    is made by extending its first letter's.  Any other word whose prefix's
+    record is not kept is walked from scratch and leaves none, since the
+    records of its prefixes would need their values: drop states are
+    always walked from scratch.  Neither the records nor the order of the
+    words changes a value, an error or the memo.
+
     Work that is exactly zero is skipped: a zero drop value is not
     multiplied by the psi scalar, a zero value of the rest of the walk is
     not added to a term, and the product stops at its first zero phi
@@ -256,12 +278,19 @@ class CFreeEvaluator:
         self._phi_values = []  # id -> None until derived, then phi of the letter
         self._merged = {}  # (id, id) -> id of the product letter
         self._memo = {}
+        # the records of the last word's prefixes, path[k] of length k + 1.  A
+        # record is (state, walked letters, the last letter's psi scalar or
+        # None, the (psi scalar, drop state, drop value) of the other split
+        # letters, the product of the phi values, whether it stopped at 0)
+        self._path = []
 
     def eval(self, word: Word):
         letters = word.letters
         if len(letters) > _MAX_WORD_LEN:
             raise DomainError(f"word length {len(letters)} exceeds the expansion cap {_MAX_WORD_LEN}")
-        if len(letters) == 1:
+        if len(letters) < 2:
+            if not letters:
+                return 1
             # phi(x^p) = 0 + phi(p), as in _phi_value; a lone letter is not
             # interned, so a sweep of many powers keeps no polynomial alive
             alg, p = letters[0]
@@ -271,7 +300,27 @@ class CFreeEvaluator:
             state = tuple([ids[letter] for letter in letters])
         except KeyError:  # a letter met for the first time
             state = tuple([self._word_id(letter) for letter in letters])
-        return self._value(state)
+        return self._word_value(state)
+
+    def _word_value(self, state):
+        """The value of a word's state of >= 2 letters, extending its prefix's record if kept.
+
+        A word the memo holds is extended all the same, to keep its record:
+        its drops are memoized or single letters, so nothing is walked.
+        """
+        path = self._path
+        n = len(state)
+        if len(path) >= n - 1 and path[n - 2][0] == state[:-1]:
+            del path[n - 1 :]
+        else:
+            path.clear()
+            value = self._value(state)
+            if n > 2:  # left without records; a prefix's would memoize the prefix
+                return value
+            path.append(self._first_record(state[0]))  # walked: its values are derived
+        value, record = self._extend(path[-1], state[-1])
+        path.append(record)
+        return value
 
     def _word_id(self, letter):
         """The id of x^power for a word letter (algebra, power), interned on first use."""
@@ -366,6 +415,70 @@ class CFreeEvaluator:
         memo[state] = val
         return val
 
+    def _extend(self, record, letter):
+        """The value of ``record``'s state followed by ``letter``, and that state's record.
+
+        The record's state was walked, so its splits and phi values are
+        derived.  The walk of the longer state reads the values of the
+        record's drops with the letter appended, then of its last letter's
+        drop, then derives the new letter's split and reads the value of the
+        walked letters, its drop, then derives its phi value: the order of
+        a walk from scratch, less the work already done.
+        """
+        known, prefix, scalar, heads, product, stopped = record
+        memo = self._memo
+        tail = (letter,)
+        drops = []  # the new state's (psi scalar, drop state, drop value) but its last letter's
+        for head_scalar, head, _ in heads:
+            drop = head + tail
+            value = memo.get(drop)
+            drops.append((head_scalar, drop, self._value(drop) if value is None else value))
+        if scalar is not None:  # the last letter, no longer an end letter, merges its neighbors
+            if len(prefix) > 1:
+                pair = (prefix[-2], letter)
+                joined = self._merged.get(pair)
+                if joined is None:
+                    joined = self._join(pair)
+                drop = (*prefix[:-2], joined)
+            else:
+                drop = tail
+            value = memo.get(drop)
+            drops.append((scalar, drop, self._value(drop) if value is None else value))
+        split = self._splits[letter]
+        if split is None:
+            split = self._split(letter)
+        if split:
+            scalar, letter = split
+            value = memo.get(prefix)
+            last = self._value(prefix) if value is None else value
+        else:
+            scalar = None
+        factor = self._phi_values[letter]
+        if factor is None:  # derived even after a zero factor, as in a walk from scratch
+            factor = self._phi_value(letter)
+        if not stopped:
+            product, stopped = (factor, True) if factor == 0 else (product * factor, False)
+        state = known + tail
+        grown = (state, (*prefix, letter), scalar, drops, product, stopped)
+        # fold right to left; a zero term is neither multiplied nor added
+        val = product
+        if split and last != 0:
+            val = scalar * last if val == 0 else scalar * last + val
+        for scalar, _, drop in reversed(drops):
+            if drop != 0:
+                val = scalar * drop if val == 0 else scalar * drop + val
+        memo[state] = val
+        return val, grown
+
+    def _first_record(self, letter):
+        """The record of the one-letter state ``letter``, whose split and phi values are derived."""
+        split = self._splits[letter]
+        scalar, centered = split if split else (None, letter)
+        factor = self._phi_values[centered]
+        # the product of a walk from scratch starts from 1
+        product, stopped = (factor, True) if factor == 0 else (1 * factor, False)
+        return (letter,), (centered,), scalar, (), product, stopped
+
     def _join(self, pair):
         """Derive the id of the product of the two letters in ``pair``.
 
@@ -414,14 +527,23 @@ def cfree_eval(word: Word, phi1, psi1, phi2, psi2):
 def canonical_words(max_len: int, max_power: int):
     """All canonical alternating words up to the given length and power.
 
-    The letters are generated alternating with powers >= 1, so the words
-    are built without :class:`Word`'s validation.
+    The words come depth first, those starting in algebra 1 before those
+    starting in algebra 2: each word shorter than max_len is followed by
+    its extension by one letter of power 1 and that word's extensions, then
+    by its extension by power 2, and so on, so every word's prefix one
+    letter shorter is the word before it or a prefix of that word.  The
+    letters are generated alternating with powers >= 1, so the words are
+    built without :class:`Word`'s validation.
     """
-    for length in range(1, max_len + 1):
-        for start in (1, 2):
-            algebras = [start if i % 2 == 0 else 3 - start for i in range(length)]
-            for powers in _iter_product(range(1, max_power + 1), repeat=length):
-                yield Word._trusted(tuple(zip(algebras, powers)))
+    # one-letter extensions by algebra, pushed in reverse to pop ascending
+    steps = {alg: [((alg, p),) for p in range(max_power, 0, -1)] for alg in (1, 2)}
+    for start in (1, 2):
+        stack = steps[start][:]
+        while stack:
+            letters = stack.pop()
+            yield Word._trusted(letters)
+            if len(letters) < max_len:
+                stack += [letters + step for step in steps[3 - letters[-1][0]]]
 
 
 def monotone_specialization_defect(phi1, phi2, max_len: int = 8, max_power: int = 4):

@@ -14,6 +14,11 @@ recursion value(s) = psi(l) * value(drop) + value(keep) at the first letter
 l of s that splits, keep being s with l centered, every keep state
 memoized and the evaluator's zero rules applied, where
 :class:`monoconv.cfree.CFreeEvaluator` walks each state once.
+``StateWalkCFree`` is the interned evaluator walking every word from its
+first letter, as it walks a drop state, where the evaluator extends the
+record of the word's prefix by one letter.  ``length_first_words`` is the
+former order of :func:`monoconv.cfree.canonical_words`, all words of one
+length before the next, where the sweep now goes depth first.
 ``CumulantCFree`` is the same functional by the moment-cumulant formula of
 Bożejko, Leinert & Speicher (Pacific J. Math. 175, 1996): a word is spelled
 out one generator per position, and its value is a sum over the
@@ -60,7 +65,7 @@ from itertools import combinations, groupby, product
 import numpy as np
 
 from monoconv import semigroup
-from monoconv.cfree import CFreeEvaluator, _tail
+from monoconv.cfree import CFreeEvaluator, Word, _tail
 from monoconv.cli import InputError
 from monoconv.embedding import default_grid
 from monoconv.measure import KTransform, k_transform, moments_from_k
@@ -186,7 +191,27 @@ def _poly_mul(a, b):
     return tuple(out)
 
 
-class DropKeepCFree(CFreeEvaluator):
+def length_first_words(max_len, max_power):
+    """The canonical words of length 1, then 2, ..., each length's in lexicographic order of powers."""
+    for length in range(1, max_len + 1):
+        for start in (1, 2):
+            algebras = [start if i % 2 == 0 else 3 - start for i in range(length)]
+            for powers in product(range(1, max_power + 1), repeat=length):
+                yield Word(tuple(zip(algebras, powers)))
+
+
+class StateWalkCFree(CFreeEvaluator):
+    """Two-state product functional walking every word from its first letter.
+
+    Words take the evaluator's walk of drop states, with no record of a
+    prefix kept between words; everything else is the evaluator's own.
+    """
+
+    def _word_value(self, state):
+        return self._value(state)
+
+
+class DropKeepCFree(StateWalkCFree):
     """Two-state product functional by the drop/keep recursion on interned letters.
 
     Only the recursion differs from the evaluator's walk: letters, splits,

@@ -9,7 +9,7 @@ import numpy as np
 
 from monoconv._util import ring_grid
 from monoconv.branching import BranchingGenerator, OffspringLaw, simulate_gw, yule_flow
-from monoconv.cfree import MomentFunctional, monotone_specialization_defect
+from monoconv.cfree import CFreeEvaluator, MomentFunctional, monotone_specialization_defect
 from monoconv.convolution import monotone_convolve
 from monoconv.embedding import embedding_test
 from monoconv.generator import HerglotzGenerator
@@ -178,7 +178,15 @@ def test_criterion_08_gw_monte_carlo():
     report("08 gw-monte-carlo", ok and elapsed < 20.0, f"{gaps}, {elapsed:.2f}s")
 
 
-def test_criterion_09_cfree_specialization():
+def test_criterion_09_cfree_specialization(monkeypatch):
+    evaluators = []
+    init = CFreeEvaluator.__init__
+
+    def recording(self, *functionals):
+        init(self, *functionals)
+        evaluators.append(self)
+
+    monkeypatch.setattr(CFreeEvaluator, "__init__", recording)
     rng = np.random.default_rng(9)
     phi1 = MomentFunctional([int(rng.integers(-5, 6)) for _ in range(32)])
     phi2 = MomentFunctional([int(rng.integers(-5, 6)) for _ in range(32)])
@@ -188,6 +196,8 @@ def test_criterion_09_cfree_specialization():
         defect == 0,
         f"defect {defect!r} over {count} words (exact integer arithmetic)",
     )
+    # the words and the drop states their walks reach, nothing more
+    assert [len(evaluator._memo) for evaluator in evaluators] == [247_040]
 
 
 def test_criterion_10_moment_bridge():

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import CumulantCFree, DropKeepCFree, NestedTupleCFree, merge_and_drop
+from oracles import (
+    CumulantCFree,
+    DropKeepCFree,
+    NestedTupleCFree,
+    StateWalkCFree,
+    length_first_words,
+    merge_and_drop,
+)
 
 import monoconv.cfree as cfree
 from monoconv.cfree import (
@@ -484,11 +491,13 @@ _walk_moment_kinds = {**_moments_of_kind, "huge float": _huge_floats}
 
 
 @st.composite
-def specialized_functionals(draw, kind):
-    """phi1, psi1, phi2, psi2 of one of the four specializations, 4 to 16 moments of the kind."""
+def specialized_functionals(draw, kind, min_moments=4):
+    """phi1, psi1, phi2, psi2 of one of the four specializations, min_moments to 16 moments of the kind."""
     moments = _walk_moment_kinds[kind]
     moments = moments | moments.map(lambda m: 0 * m)  # a zero of the same type
-    phi1, psi1, phi2, psi2 = (MomentFunctional(draw(st.lists(moments, min_size=4, max_size=16))) for _ in range(4))
+    phi1, psi1, phi2, psi2 = (
+        MomentFunctional(draw(st.lists(moments, min_size=min_moments, max_size=16))) for _ in range(4)
+    )
     delta = MomentFunctional.delta()
     return {
         "free": (phi1, phi1, phi2, phi2),
@@ -573,6 +582,161 @@ def test_walk_memoizes_no_partly_centered_state():
     free = CFreeEvaluator(phi1, phi1, phi2, phi2)
     assert free.eval(Word(tuple((1 + i % 2, 1 + i % 3) for i in range(10)))) == Fraction(-14527, 162)
     assert len(free._memo) <= 232
+
+
+# -- prefix records against the walk of every word from its first letter ------------
+
+
+@st.composite
+def word_sequences(draw):
+    """Words for one evaluator that share prefixes, or do not, in many orders.
+
+    Runs of a small depth-first sweep, in order, shuffled or reversed;
+    repeated words; words whose prefixes are not evaluated before them;
+    single letters and the empty word.
+    """
+    sweep = list(canonical_words(draw(st.integers(2, 4)), draw(st.integers(1, 3))))
+    words = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("sweep", "shuffled", "reversed", "repeat", "lone", "letter", "empty")))
+        if kind in ("sweep", "shuffled", "reversed"):
+            start = draw(st.integers(0, len(sweep) - 1))
+            run = sweep[start : start + draw(st.integers(1, 30))]
+            if kind == "shuffled":
+                run = draw(st.permutations(run))
+            words += run[::-1] if kind == "reversed" else run
+        elif kind == "repeat":
+            words += [draw(st.sampled_from(words or sweep))] * 2
+        elif kind == "lone":
+            words.append(draw(canonical_word(max_len=6, max_power=3)))
+        elif kind == "letter":
+            words.append(Word(((draw(st.sampled_from((1, 2))), draw(st.integers(1, 4))),)))
+        else:
+            words.append(Word(()))
+    return words
+
+
+def _memo_states(evaluator):
+    """The memoized states as their letters; repr keeps a nan coefficient equal to itself."""
+    return {repr(tuple(evaluator._letters[letter] for letter in state)) for state in evaluator._memo}
+
+
+def _check_against_state_walk(functionals, words):
+    evaluator = CFreeEvaluator(*functionals)
+    oracle = StateWalkCFree(*functionals)
+    for word in words:
+        got = _outcome(evaluator.eval, word)
+        expect = _outcome(oracle.eval, word)
+        assert got[0] == expect[0]
+        assert type(got[1]) is type(expect[1])
+        assert _same_number(got[1], expect[1])
+    assert _memo_states(evaluator) == _memo_states(oracle)
+
+
+@pytest.mark.parametrize("kind", sorted(_walk_moment_kinds))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), words=word_sequences())
+def test_prefix_records_match_the_walk_from_the_first_letter(kind, data, words):
+    # same value and type, or the same first DomainError, word after word,
+    # and the same memoized states; short moment lists make words raise
+    # and the words after them must not notice
+    _check_against_state_walk(data.draw(specialized_functionals(kind, min_moments=0)), words)
+
+
+_X, _Y = (1, 1), (2, 1)
+_ONES = MomentFunctional([1] * 8)
+_DELTA = MomentFunctional.delta()
+
+
+@pytest.mark.parametrize(
+    "functionals, words, outcome",
+    [
+        # psi_1 stores one moment, 0, so x does not split and x^2 cannot: the
+        # walk of x y x^2 y x drops y first, to x^3 y x, whose psi_1 value
+        # asks for order 3 before the split of x^2 asks for order 2
+        (
+            (_ONES, MomentFunctional([0]), _ONES, _ONES),
+            [Word((_X, _Y, (1, 2), _Y, _X)[:n]) for n in (2, 3, 4, 5, 5, 4)],
+            ("error", "moment of order 3 required but only 1 stored"),
+        ),
+        # x y x^2 drops y to x^3, whose phi_1 value asks for order 3 before
+        # the split of x^2 asks psi_1 for order 2
+        (
+            (MomentFunctional([1]), MomentFunctional([0]), _ONES, _ONES),
+            [Word((_X, _Y)), Word((_X, _Y, (1, 2)))],
+            ("error", "moment of order 3 required but only 1 stored"),
+        ),
+        # boolean: phi_2(y) = 0 stops the product of y x, and y x y^2 still
+        # asks phi_2 for the order 2 factor of its last letter
+        (
+            (MomentFunctional([1]), _DELTA, MomentFunctional([0]), _DELTA),
+            [Word((_Y, _X)), Word((_Y, _X, (2, 2)))],
+            ("error", "moment of order 2 required but only 1 stored"),
+        ),
+        # phi(y - psi(y)) = 0 stops the product before the factor
+        # phi(x - psi(x)) = 1e308 + 1e308 = inf, which must not make it nan
+        (
+            (MomentFunctional([1e308]), MomentFunctional([-1e308]), MomentFunctional([1.0]), MomentFunctional([1.0])),
+            [Word((_Y, _X))],
+            ("value", 1e308),
+        ),
+        # monotone with int phi_1 and Fraction phi_2: the zero drop value of
+        # y in x y is not multiplied by its Fraction psi value
+        (
+            (MomentFunctional([0]), _DELTA, MomentFunctional([Fraction(1, 2)]), MomentFunctional([Fraction(1, 2)])),
+            [Word((_X, _Y))],
+            ("value", 0),
+        ),
+    ],
+)
+def test_an_extension_takes_the_steps_of_a_walk_from_scratch(functionals, words, outcome):
+    assert _outcome(CFreeEvaluator(*functionals).eval, words[-1]) == outcome
+    assert type(_outcome(CFreeEvaluator(*functionals).eval, words[-1])[1]) is type(outcome[1])
+    _check_against_state_walk(functionals, words)
+
+
+@pytest.mark.parametrize("max_len, max_power", [(1, 1), (1, 4), (4, 1), (3, 2), (4, 3), (6, 2)])
+def test_depth_first_words_are_the_length_first_words(max_len, max_power):
+    words = [word.letters for word in canonical_words(max_len, max_power)]
+    assert len(words) == len(set(words)) == 2 * sum(max_power**k for k in range(1, max_len + 1))
+    assert set(words) == {word.letters for word in length_first_words(max_len, max_power)}
+    for word, after in zip(words, words[1:]):
+        # each word's prefix one letter shorter is the word before it or a prefix of that one
+        assert after[:-1] == word[: len(after) - 1]
+        if len(word) < max_len:
+            assert after == (*word, (3 - word[-1][0], 1))
+    assert len(words[-1]) == max_len
+
+
+def test_sweep_passes_monotone_eval_the_canonical_order(monkeypatch):
+    monotone = cfree.monotone_eval
+    seen = []
+
+    def recording(word, a, b):
+        seen.append(word.letters)
+        return monotone(word, a, b)
+
+    monkeypatch.setattr(cfree, "monotone_eval", recording)
+    rng = np.random.default_rng(12)
+    assert monotone_specialization_defect(frac_moments(rng, 12), frac_moments(rng, 12), 4, 3)[0] == 0
+    assert seen == [word.letters for word in canonical_words(4, 3)]
+
+
+def test_a_sweep_keeps_at_most_max_len_path_records(monkeypatch):
+    evaluators = []
+    init = CFreeEvaluator.__init__
+
+    def recording(self, *functionals):
+        init(self, *functionals)
+        evaluators.append(self)
+
+    monkeypatch.setattr(CFreeEvaluator, "__init__", recording)
+    rng = np.random.default_rng(13)
+    monotone_specialization_defect(frac_moments(rng, 15), frac_moments(rng, 15), max_len=5, max_power=3)
+    (evaluator,) = evaluators
+    assert 1 <= len(evaluator._path) <= 5
+    last = evaluator._path[-1][0]
+    assert [record[0] for record in evaluator._path] == [last[: k + 1] for k in range(len(last))]
 
 
 # -- interned evaluator against the moment-cumulant formula ------------------------
