@@ -27,6 +27,12 @@ layout or its count of numbers; such jobs are listed.
     python scripts/cli_digest.py --cells --seed 7 --passes 5 > new.jsonl
     python scripts/cli_digest.py --compare old.jsonl new.jsonl
 
+``--kinds`` runs only the CLI jobs of the given comma-separated job kinds,
+so one kind can be checked over many passes; a kind that is unknown or has
+no CLI jobs in the chosen workloads exits 2 and names their CLI kinds.
+
+    python scripts/cli_digest.py --workload crosscheck --kinds gw --passes 200
+
 It reads ``perfbench/`` and changes nothing there.
 """
 
@@ -51,13 +57,18 @@ from perfbench import workloads  # noqa: E402
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf|NaN|Infinity)(?![\w.])")
 
 
-def run_cli_jobs(workload: str, seed: int, passes: int):
-    """(pass, job, status, stdout) of every CLI job of passes 1..P."""
+def cli_kinds(workload: str, seed: int) -> set:
+    """The kinds of the workload's CLI jobs; every pass builds the same kinds."""
+    return {job["kind"] for job in workloads.build(workload, seed, 1)["jobs"] if "argv" in job}
+
+
+def run_cli_jobs(workload: str, seed: int, passes: int, kinds=None):
+    """(pass, job, status, stdout) of every CLI job of ``kinds`` (every kind when None) of passes 1..P."""
     for pass_index in range(1, passes + 1):
         with tempfile.TemporaryDirectory() as tmp:
             spec = workloads.build(workload, seed, pass_index)
             for job in workloads.materialize(spec, Path(tmp)):
-                if "argv" not in job:
+                if "argv" not in job or (kinds is not None and job["kind"] not in kinds):
                     continue
                 _, output, error = workloads.run_job(job)
                 if output is None:
@@ -71,13 +82,13 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def digest_lines(workload: str, seed: int, passes: int):
-    for pass_index, job, status, text in run_cli_jobs(workload, seed, passes):
+def digest_lines(workload: str, seed: int, passes: int, kinds=None):
+    for pass_index, job, status, text in run_cli_jobs(workload, seed, passes, kinds):
         yield f"{workload} {pass_index} {job['id']} {status} {sha256(text)}"
 
 
-def cell_lines(workload: str, seed: int, passes: int):
-    for pass_index, job, status, text in run_cli_jobs(workload, seed, passes):
+def cell_lines(workload: str, seed: int, passes: int, kinds=None):
+    for pass_index, job, status, text in run_cli_jobs(workload, seed, passes, kinds):
         record = {
             "workload": workload,
             "pass": pass_index,
@@ -139,13 +150,27 @@ def main(argv=None) -> int:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--cells", action="store_true", help="write exit code and numbers of each job as JSON lines")
     mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two --cells dumps")
+    p.add_argument("--kinds", help="comma-separated job kinds to run (default: every CLI kind)")
     args = p.parse_args(argv)
+    kinds = None if args.kinds is None else {kind for kind in args.kinds.split(",") if kind}
+    if kinds == set():
+        p.error("--kinds names no job kind")
     if args.compare:
+        if kinds is not None:
+            p.error("--kinds selects jobs to run; --compare runs none")
         return compare(*args.compare)
+    chosen = args.workload or workloads.WORKLOADS
+    if kinds is not None:
+        have = {workload: cli_kinds(workload, args.seed) for workload in chosen}
+        unknown = sorted(kinds - set().union(*have.values()))
+        if unknown:
+            listed = "; ".join(f"workload {w} has CLI kinds {', '.join(sorted(k))}" for w, k in have.items())
+            print(f"no CLI job of kind {', '.join(unknown)}; {listed}", file=sys.stderr)
+            return 2
     lines = cell_lines if args.cells else digest_lines
     count = 0
-    for workload in args.workload or workloads.WORKLOADS:
-        for line in lines(workload, args.seed, args.passes):
+    for workload in chosen:
+        for line in lines(workload, args.seed, args.passes, kinds):
             print(line)
             count += 1
     print(f"{count} CLI jobs", file=sys.stderr)

@@ -12,6 +12,7 @@ generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -210,9 +211,14 @@ class GWSimulation:
 # timing NumPy 2.4 on one x86-64 core with time.perf_counter: a per-trial
 # multinomial row spends 35-110 ns per offspring count of nonzero
 # probability and about 5 ns per count of probability zero; a histogram
-# draw rng.multinomial(c, q) costs about 5 us per call, bookkeeping
-# included, plus 15-25 ns per cell of q it visits; np.convolve costs about
-# 4 us per call plus 0.4 ns per multiply-add.  Only speed depends on them.
+# draw rng.multinomial(c, q) costs about 5 us per call, plus 15-25 ns per
+# cell of q it visits; np.convolve costs about 4 us per call plus 0.4 ns
+# per multiply-add.  The 5 us held while every draw was merged into the
+# tally by np.unique; the call itself takes 1-2 us and adding its counts
+# into the count array about 1 us (NumPy 2.4.6, x86-64).  The constants
+# stay as they are all the same: the law of the samples does not depend
+# on them, but the samples a seed gives do, since the rule decides which
+# groups take a histogram draw.
 # The convolution term is what keeps wide laws off the histogram draw: a
 # rule on draw cells against trial cells alone sent 3 * 10^5 trials of the
 # support-65 law (1/2, 0, ..., 0, 1/2) through p^{*y} up to y near 2048,
@@ -251,40 +257,58 @@ def _grouped_generation(rng, sizes, counts, p, powers):
     (``powers[k]`` is p^{*k}, extended in place) stop paying for
     themselves, and only where the draw beats per-trial draws; the other
     groups share one per-trial draw.  Both draws are exact.
+
+    The draws add into one int64 array indexed by children total, as long
+    as the largest histogram draw; per-trial totals beyond its end are
+    tallied by ``np.unique`` and follow its sizes, so no tally is sorted
+    or merged.  The cost rule runs in Python floats, summing left to right
+    as ``np.cumsum`` and taking the first best group as ``np.argmax``, so
+    it picks the groups that the same rule on NumPy arrays picks.
     """
     width = p.size - 1
     dead = int(sizes[0] == 0)  # Y = 0 is absorbing
-    y, c = sizes[dead:], counts[dead:]
+    y, c = sizes[dead:].tolist(), counts[dead:].tolist()
     row = np.count_nonzero(p) * _TRIAL_CELL_NS + (width + 1) * _ZERO_CELL_NS
-    gain = c * row - (y * width + 1) * _HIST_CELL_NS - _GROUP_NS
-    extend = _convolution_cost(y, width) - _convolution_cost(len(powers) - 1, width)
-    net = np.cumsum(np.maximum(gain, 0.0)) - np.maximum(extend, 0.0)
-    best = int(np.argmax(net))
-    take = np.zeros(y.size, dtype=bool)
-    if net[best] > 0:
-        take[: best + 1] = gain[: best + 1] > 0
+    gain = [ck * row - (yk * width + 1) * _HIST_CELL_NS - _GROUP_NS for yk, ck in zip(y, c)]
+    saved = list(accumulate([g if g > 0.0 else 0.0 for g in gain]))  # np.cumsum(np.maximum(gain, 0))
+    built = _convolution_cost(len(powers) - 1, width)
+    best, best_net = 0, -np.inf
+    for k, yk in enumerate(y):
+        extend = max(_convolution_cost(yk, width) - built, 0.0)
+        if saved[-1] - extend <= best_net:
+            break  # extend grows with the size, so no later group does better
+        if saved[k] - extend > best_net:  # the first of equal maxima, as np.argmax
+            best, best_net = k, saved[k] - extend
+    bulk = best + 1 if best_net > 0 else 0
+    pooled = [k >= bulk or gain[k] <= 0 for k in range(len(y))]
 
-    tally_sizes, tally_counts = [sizes[:dead]], [counts[:dead]]
-    for yk, ck in zip(y[take].tolist(), c[take].tolist()):
+    # group bulk - 1 takes the largest draw: where np.argmax stops, a positive gain was added
+    tally = np.zeros(y[bulk - 1] * width + 1 if bulk else 1, dtype=np.int64)
+    if dead:
+        tally[0] = counts[0]
+    for yk, ck, pool in zip(y[:bulk], c[:bulk], pooled):
+        if pool:
+            continue
         while len(powers) <= yk:
             # renormalised, so rounding drift cannot build up over the powers
             # (numpy's multinomial rejects cells summing above 1 + 1e-12)
             power = np.convolve(powers[-1], p)
             powers.append(power / power.sum())
         drawn = rng.multinomial(ck, powers[yk])
-        hit = np.flatnonzero(drawn)
-        tally_sizes.append(hit)
-        tally_counts.append(drawn[hit])
-    if not take.all():
-        kid_sizes, kid_counts = np.unique(
-            _per_trial(rng, np.repeat(y[~take], c[~take]), p), return_counts=True
-        )
-        tally_sizes.append(kid_sizes)
-        tally_counts.append(kid_counts)
-    sizes, where = np.unique(np.concatenate(tally_sizes), return_inverse=True)
-    counts = np.zeros(sizes.size, dtype=np.int64)
-    np.add.at(counts, where, np.concatenate(tally_counts))
-    return sizes, counts
+        tally[: drawn.size] += drawn
+    if any(pooled):
+        pop = np.repeat(np.array(list(compress(y, pooled)), dtype=np.int64), list(compress(c, pooled)))
+        kids = _per_trial(rng, pop, p)
+        if kids.max() < tally.size:
+            tally += np.bincount(kids, minlength=tally.size)
+        else:
+            kid_sizes, kid_counts = np.unique(kids, return_counts=True)
+            fit = int(np.searchsorted(kid_sizes, tally.size))
+            tally[kid_sizes[:fit]] += kid_counts[:fit]  # distinct indices
+            hit = np.flatnonzero(tally)
+            return (np.concatenate((hit, kid_sizes[fit:])), np.concatenate((tally[hit], kid_counts[fit:])))
+    hit = np.flatnonzero(tally)
+    return hit, tally[hit]
 
 
 def _sample_sizes(law: OffspringLaw, n_steps: int, trials: int, rng):

@@ -200,18 +200,23 @@ def monotone_eval(word: Word, phi1: MomentFunctional, phi2: MomentFunctional):
     """Monotone product functional on a word.
 
     Equals phi_1 at the total first-algebra power times the product of
-    phi_2 over the individual second-algebra letters.
+    phi_2 over the individual second-algebra letters, multiplied in word
+    order.  Moments are read from the stored tuples by index; order 0 and
+    orders beyond the stored moments (every order of the delta functional,
+    which stores none) go through :meth:`MomentFunctional.__call__`, which
+    answers them or raises the ``DomainError``.
     """
+    letters = word.letters
     total = 0
-    right = []
-    for alg, p in word.letters:
+    for alg, p in letters:
         if alg == 1:
             total += p
-        else:
-            right.append(p)
-    val = phi1(total)
-    for p in right:
-        val = val * phi2(p)
+    stored = phi1.moments
+    val = stored[total - 1] if 0 < total <= len(stored) else phi1(total)
+    stored = phi2.moments
+    for alg, p in letters:
+        if alg == 2:
+            val = val * (stored[p - 1] if p <= len(stored) else phi2(p))
     return val
 
 

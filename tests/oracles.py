@@ -16,8 +16,10 @@ memoized and the evaluator's zero rules applied, where
 :class:`monoconv.cfree.CFreeEvaluator` walks each state once.
 ``StateWalkCFree`` is the interned evaluator walking every word from its
 first letter, as it walks a drop state, where the evaluator extends the
-record of the word's prefix by one letter.  ``length_first_words`` is the
-former order of :func:`monoconv.cfree.canonical_words`, all words of one
+record of the word's prefix by one letter.  ``monotone_by_calls`` is
+:func:`monoconv.cfree.monotone_eval` calling the functional once per
+factor, where ``monotone_eval`` reads the stored moments by index.
+``length_first_words`` is the former order of :func:`monoconv.cfree.canonical_words`, all words of one
 length before the next, where the sweep now goes depth first.
 ``CumulantCFree`` is the same functional by the moment-cumulant formula of
 Bożejko, Leinert & Speicher (Pacific J. Math. 175, 1996): a word is spelled
@@ -56,6 +58,11 @@ file's bytes once; both must fail with the same message.
 ``evolve_by_unique`` is :func:`monoconv.semigroup.evolve` with its former
 time bookkeeping, the grid and row map of ``np.unique(return_inverse=True)``,
 where ``evolve`` sorts a set of Python floats.
+``grouped_generation_by_merge`` is a Galton-Watson generation with its
+former bookkeeping: the cost rule on arrays, and the draws merged by
+``np.unique(return_inverse=True)`` and ``np.add.at``, where
+:func:`monoconv.branching._grouped_generation` adds them into one count
+array indexed by children total.  Both must make the same draws.
 """
 
 import json
@@ -64,7 +71,7 @@ from itertools import combinations, groupby, product
 
 import numpy as np
 
-from monoconv import semigroup
+from monoconv import branching, semigroup
 from monoconv.cfree import CFreeEvaluator, Word, _tail
 from monoconv.cli import InputError
 from monoconv.embedding import default_grid
@@ -124,6 +131,21 @@ def recursion_flow_coefficients(gen, t: float, n: int) -> TruncatedSeries:
         rhs = sum(k * f[k] * v[m + 1 - k] for k in range(1, m))
         f[m] = (rhs - lhs_lower) / ((1 - m) * v[1])
     return TruncatedSeries(f)
+
+
+def monotone_by_calls(word, phi1, phi2):
+    """The monotone product functional with one ``MomentFunctional`` call per factor."""
+    total = 0
+    right = []
+    for alg, p in word.letters:
+        if alg == 1:
+            total += p
+        else:
+            right.append(p)
+    val = phi1(total)
+    for p in right:
+        val = val * phi2(p)
+    return val
 
 
 def merge_and_drop(letters):
@@ -423,3 +445,44 @@ def evolve_by_unique(gen, times, points, tol: float = 1e-10) -> np.ndarray:
     zs = np.asarray(points, dtype=complex).ravel()
     grid, inverse = np.unique(ts, return_inverse=True)
     return semigroup._integrate(gen.vector_field_at, zs, grid.tolist(), tol)[inverse]
+
+
+def grouped_generation_by_merge(rng, sizes, counts, p, powers):
+    """Next generation's size tally from this one's (ascending distinct sizes, trial counts).
+
+    The cost rule runs on arrays and the draws merge by
+    ``np.unique(return_inverse=True)`` and ``np.add.at``.
+    """
+    width = p.size - 1
+    dead = int(sizes[0] == 0)  # Y = 0 is absorbing
+    y, c = sizes[dead:], counts[dead:]
+    row = np.count_nonzero(p) * branching._TRIAL_CELL_NS + (width + 1) * branching._ZERO_CELL_NS
+    gain = c * row - (y * width + 1) * branching._HIST_CELL_NS - branching._GROUP_NS
+    extend = branching._convolution_cost(y, width) - branching._convolution_cost(len(powers) - 1, width)
+    net = np.cumsum(np.maximum(gain, 0.0)) - np.maximum(extend, 0.0)
+    best = int(np.argmax(net))
+    take = np.zeros(y.size, dtype=bool)
+    if net[best] > 0:
+        take[: best + 1] = gain[: best + 1] > 0
+
+    tally_sizes, tally_counts = [sizes[:dead]], [counts[:dead]]
+    for yk, ck in zip(y[take].tolist(), c[take].tolist()):
+        while len(powers) <= yk:
+            # renormalised, so rounding drift cannot build up over the powers
+            # (numpy's multinomial rejects cells summing above 1 + 1e-12)
+            power = np.convolve(powers[-1], p)
+            powers.append(power / power.sum())
+        drawn = rng.multinomial(ck, powers[yk])
+        hit = np.flatnonzero(drawn)
+        tally_sizes.append(hit)
+        tally_counts.append(drawn[hit])
+    if not take.all():
+        kid_sizes, kid_counts = np.unique(
+            branching._per_trial(rng, np.repeat(y[~take], c[~take]), p), return_counts=True
+        )
+        tally_sizes.append(kid_sizes)
+        tally_counts.append(kid_counts)
+    sizes, where = np.unique(np.concatenate(tally_sizes), return_inverse=True)
+    counts = np.zeros(sizes.size, dtype=np.int64)
+    np.add.at(counts, where, np.concatenate(tally_counts))
+    return sizes, counts

@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import gw_exact_law, vector_field
+from oracles import grouped_generation_by_merge, gw_exact_law, vector_field
 
+import monoconv.branching as branching
 from monoconv.branching import (
     BranchingGenerator,
     OffspringLaw,
@@ -349,6 +350,77 @@ def test_sampling_stops_once_every_trial_is_extinct(trials):
     assert sim.means == (1 + 0j,) and sim.stderrs == (0.0,)
 
 
+class _RecordingRng:
+    """A generator that records the arguments of each multinomial draw: ``n`` (an int or an array) and ``pvals``."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def multinomial(self, n, pvals):
+        self.calls.append((np.array(n, copy=True) if np.ndim(n) else n, np.array(pvals, copy=True)))
+        return self._rng.multinomial(n, pvals)
+
+
+def _same_call(a, b):
+    (n_a, p_a), (n_b, p_b) = a, b
+    if np.ndim(n_a) or np.ndim(n_b):
+        same_n = type(n_a) is type(n_b) and n_a.dtype == n_b.dtype and np.array_equal(n_a, n_b)
+    else:
+        same_n = type(n_a) is type(n_b) and n_a == n_b
+    return same_n and p_a.dtype == p_b.dtype and np.array_equal(p_a, p_b)
+
+
+def _run_sampler(law, n, trials, seed):
+    rng = _RecordingRng(seed)
+    try:
+        return _sample_sizes(law, n, trials, rng), rng.calls
+    except SupercriticalOverflowError as exc:
+        return str(exc), rng.calls
+
+
+@pytest.mark.parametrize(
+    "p, n, trials, seeds",
+    [
+        ([0.25, 0.5, 0.25], 5, 100_000, 2),  # the six cases of the exact-law test
+        ([0.5, 0.3, 0.2], 6, 100_000, 1),
+        ([0, 0.5, 0.5], 8, 100_000, 1),
+        (S65, 2, 1000, 3),
+        ([0, 0.5, 0.5], 12, 300, 4),
+        ([0.25, 0.5, 0.25], 5, 3, 4),
+        ([0, 0.5, 0.5 + 1e-13], 9, 100_000, 1),  # sums to 1 + 1e-13
+        ([0, 1.0], 6, 50, 1),  # deterministic
+        ([0, 0, 1.0], 4, 10, 1),
+        ([0.25, 0.5, 0.25], 4, 1, 3),  # trial counts
+        ([0.25, 0.5, 0.25], 4, 10, 3),
+        ([0.3, 0.4, 0.3], 12, 300, 3),
+        ([0.25, 0.5, 0.25], 4, 2**53 + 1, 2),
+        ([0.25, 0.5, 0.25], 4, 2**63 - 1, 2),
+        ([0.5, 0.3, 0.2], 10**5, 3, 2),  # early extinction, per trial and grouped
+        ([0.5, 0.3, 0.2], 10**5, 10, 2),
+        ([0.5, 0.3, 0.2], 10**5, 300, 1),
+        ([0, 0, 1.0], 30, 2, 1),  # overflow at generation 24, per trial
+        ([0, 0, 1.0], 30, 10, 1),  # and grouped
+        ([0] * 64 + [1.0], 10, 300, 1),  # support 65, at generation 4
+        ([0.5, 0.5] + [0.0] * 63, 6, 100_000, 1),  # cells of probability zero
+    ],
+)
+def test_generations_make_the_draws_of_the_merging_generation(p, n, trials, seeds, monkeypatch):
+    law = OffspringLaw(p)
+    for seed in range(seeds):
+        got, calls = _run_sampler(law, n, trials, [41, seed])
+        with monkeypatch.context() as patch:
+            patch.setattr(branching, "_grouped_generation", grouped_generation_by_merge)
+            want, want_calls = _run_sampler(law, n, trials, [41, seed])
+        assert len(calls) == len(want_calls)
+        assert all(_same_call(a, b) for a, b in zip(calls, want_calls))
+        if isinstance(want, str):  # the same overflow message, so the same generation
+            assert got == want
+            continue
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
+
 def test_grouped_sampling_memory():
     # per-trial arrays of 10^7 trials would take hundreds of MiB
     tracemalloc.start()
@@ -358,3 +430,16 @@ def test_grouped_sampling_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_wide_law_sampling_memory():
+    # 78.3 MiB measured before the single count array (seed 6), so the bound
+    # leaves a 23 % margin; a count array as long as the largest children
+    # total reached 128.9 MiB here
+    tracemalloc.start()
+    try:
+        simulate_gw(OffspringLaw(S65), 4, 3 * 10**5, [0.5], seed=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20

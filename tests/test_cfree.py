@@ -15,6 +15,7 @@ from oracles import (
     StateWalkCFree,
     length_first_words,
     merge_and_drop,
+    monotone_by_calls,
 )
 
 import monoconv.cfree as cfree
@@ -123,6 +124,38 @@ def test_monotone_left_right_left():
     phi2 = MomentFunctional([5, 7])
     # phi(a b a) = phi1(a^2) phi2(b)
     assert monotone_eval(Word(((1, 1), (2, 1), (1, 1))), phi1, phi2) == 3 * 5
+
+
+_KINDS = {
+    "int": lambda rng, n: MomentFunctional([int(v) for v in rng.integers(-9, 10, n)]),
+    "fraction": frac_moments,
+    "float": lambda rng, n: MomentFunctional(rng.choice([1e200, -1e150, 0.5, 0.0, -3.0], n).tolist()),
+    "complex": lambda rng, n: MomentFunctional((rng.normal(size=n) + 1j * rng.normal(size=n)).tolist()),
+    "delta": lambda rng, n: MomentFunctional.delta(),
+}
+
+
+@pytest.mark.parametrize("kind2", sorted(_KINDS))
+@pytest.mark.parametrize("kind1", sorted(_KINDS))
+def test_monotone_eval_equals_one_call_per_factor(kind1, kind2):
+    # same values, types, signed zeros and NaNs, from products in the same order
+    rng = np.random.default_rng([5, len(kind1), len(kind2)])
+    phi1, phi2 = _KINDS[kind1](rng, 12), _KINDS[kind2](rng, 12)
+    for word in [Word(())] + list(canonical_words(4, 3)):
+        assert repr(monotone_eval(word, phi1, phi2)) == repr(monotone_by_calls(word, phi1, phi2))
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [((1, 3),), ((2, 2),), ((1, 3), (2, 2)), ((2, 2), (1, 3)), ((2, 1), (1, 1), (2, 2), (1, 2))],
+)
+def test_monotone_eval_raises_as_one_call_per_factor(letters):
+    phi1, phi2 = MomentFunctional([1, 2]), MomentFunctional([3])
+    word = Word(letters)
+    with pytest.raises(DomainError) as expected:
+        monotone_by_calls(word, phi1, phi2)
+    with pytest.raises(DomainError, match=f"^{re.escape(str(expected.value))}$"):
+        monotone_eval(word, phi1, phi2)
 
 
 # -- two-state functional ---------------------------------------------------------
