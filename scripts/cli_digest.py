@@ -118,7 +118,9 @@ def _drift(old, new) -> float:
     return worst
 
 
-def compare(old_path, new_path, out=sys.stdout) -> int:
+def compare(old_path, new_path, out=None) -> int:
+    """Print the drift table of two ``--cells`` dumps to ``out`` (``sys.stdout`` at the call); the exit code."""
+    out = sys.stdout if out is None else out
     old, new = _load(old_path), _load(new_path)
     failures = [f"missing from {new_path}: {key}" for key in sorted(old.keys() - new.keys())]
     failures += [f"missing from {old_path}: {key}" for key in sorted(new.keys() - old.keys())]

@@ -14,10 +14,14 @@ run cannot tell a few per cent apart there, this can.  Pass 0 warms both
 workers up and is not counted.  BLAS runs on one thread, as in
 ``perfbench/run.py``.
 
-It prints, per job kind and for the whole workload, the job count, both
-total times and both medians with their ratios (change / base), and every
-job whose output differs between the checkouts: exit code and stdout for a
-CLI job, the returned value for a library job.  Give this checkout as
+It prints one line per side, its checkout's ``monoconv`` and its
+end-to-end numbers over every paired job as ``perfbench/run.py`` defines
+them (``jobs_per_s``, jobs over the time spent in them; ``p50`` and ``p95``
+of the job times), so a tail claim can be sized job by job.  Then, per job
+kind and for the whole workload, the job count, both total times and both
+medians with their ratios (change / base), and every job whose output
+differs between the checkouts: exit code and stdout for a CLI job, the
+returned value for a library job.  Give this checkout as
 ``--base`` for an A/A run, which shows the resolution.  ``--kinds`` runs
 only the jobs of the given comma-separated kinds, so one kind can be paired
 without the rest of its workload; a kind the workload does not have exits
@@ -31,6 +35,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -141,14 +146,26 @@ def _row(name, base, change):
     return f"{name:18s} {n:6d} {1e3 * tb:10.1f} {1e3 * tc:10.1f} {tc / tb:7.3f} {1e6 * mb:10.1f} {1e6 * mc:10.1f} {mc / mb:7.3f}"
 
 
-def run(base: Path, workload: str, passes: int, seed: int, kinds=None, out=sys.stdout) -> int:
-    """Pair the jobs of ``kinds`` (every kind when None) pass by pass; the exit code."""
+def _end_to_end(name, module, seconds):
+    """One side's line: jobs_per_s, p50 and p95 as ``perfbench/run.py``'s ``end_to_end`` takes them."""
+    import numpy as np
+
+    ms = np.array([1e3 * s for s in seconds])
+    rate = len(seconds) / math.fsum(seconds)
+    return f"{name:6s} {module}  jobs_per_s {rate:.1f}  p50 {np.median(ms):.3f} ms  p95 {np.percentile(ms, 95):.3f} ms"
+
+
+def run(base: Path, workload: str, passes: int, seed: int, kinds=None, out=None) -> int:
+    """Pair the jobs of ``kinds`` (every kind when None) pass by pass; the exit code.
+
+    The report goes to ``out``, or to ``sys.stdout`` as it is at the call.
+    """
+    out = sys.stdout if out is None else out
     sides = [_Worker(base, workload, seed), _Worker(ROOT, workload, seed)]  # base, change
     times = defaultdict(lambda: ([], []))  # kind -> (base seconds, change seconds)
     differ, failed = [], [0, 0]
     sent = 0
     try:
-        print(f"base   {sides[0].module}\nchange {sides[1].module}", file=out)
         for pass_index in range(passes + 1):
             plans = [side.ask({"pass": pass_index}) for side in sides]
             if plans[0] != plans[1]:
@@ -178,12 +195,14 @@ def run(base: Path, workload: str, passes: int, seed: int, kinds=None, out=sys.s
     finally:
         for side in sides:
             side.close()
+    every = [sum((times[k][side] for k in times), []) for side in (0, 1)]
+    for name, side, seconds in zip(("base", "change"), sides, every):
+        print(_end_to_end(name, side.module, seconds), file=out)
     print(f"{workload}, seed {seed}, passes 1-{passes}; times in ms (totals) and us (medians)", file=out)
     print(f"{'kind':18s} {'jobs':>6s} {'base':>10s} {'change':>10s} {'ratio':>7s} "
           f"{'base p50':>10s} {'chg p50':>10s} {'ratio':>7s}", file=out)
     for kind in sorted(times):
         print(_row(kind, *times[kind]), file=out)
-    every = [sum((times[k][side] for k in times), []) for side in (0, 1)]
     print(_row("all", *every), file=out)
     print(f"failed jobs: base {failed[0]}, change {failed[1]}", file=out)
     print(f"jobs whose outputs differ: {len(differ)}", file=out)

@@ -4,8 +4,9 @@ Subcommands: convolve, evolve, embed, gw, counterexample, cfree-check,
 verify-ops.  Inputs are JSON files.  Each subcommand returns its result, a
 dict or a CSV (header, rows) pair; one renderer turns it into JSON or CSV
 text and one writer puts that on stdout or, after the command has finished,
-at --out.  Identical invocations with identical seeds produce
-byte-identical output.
+at --out.  The JSON is the bytes ``json.dumps(indent=2, sort_keys=True)``
+writes, with lists of floats and of complex numbers formatted in bulk.
+Identical invocations with identical seeds produce byte-identical output.
 
 :func:`main` parses with the parser built when the module is imported, and
 reused by every call in the process: an argv that starts with a subcommand
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -182,6 +184,11 @@ def _parse_times(text):
 # it once.
 
 
+def _fields(record) -> dict:
+    """A dataclass instance's fields by name, the values themselves (``asdict`` deep-copies them)."""
+    return {field.name: getattr(record, field.name) for field in dataclasses.fields(record)}
+
+
 def _json_default(value):
     if isinstance(value, complex):
         return [value.real, value.imag]
@@ -191,10 +198,102 @@ def _json_default(value):
 
 
 def _render(result) -> str:
+    """The text of a result: a dict as JSON, a (header, rows) pair as CSV with one ``str`` per cell.
+
+    The JSON is, byte for byte, ``json.dumps(result, indent=2,
+    sort_keys=True, default=_json_default) + "\\n"``, and a value that
+    cannot be serialized raises the same ``TypeError``.  With an indent,
+    ``json.dumps`` runs its pure-Python encoder, one call per value;
+    :func:`_json_text` formats a list of floats or of complex numbers in a
+    few C-level passes.
+    """
     if isinstance(result, dict):
-        return json.dumps(result, indent=2, sort_keys=True, default=_json_default) + "\n"
+        return _json_text(result, "\n") + "\n"
     header, rows = result
     return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_FLOATS = {float, np.float64}
+_COMPLEXES = {complex, np.complex128}
+
+
+def _json_text(value, nl):
+    """``value`` as indented JSON, ``nl`` being the newline and indent of its own level.
+
+    The checks run in the order of the ``json`` encoder's, so a subclass
+    takes the same branch: a float through ``float.__repr__``, an int
+    through ``int.__repr__``, anything else through :func:`_json_default`.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _special_floats(float.__repr__(value))
+    if isinstance(value, (list, tuple)):
+        return _list_text(value, nl)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            # the encoder's own key conversion, sort and errors; JSON text holds no raw newline
+            return json.dumps(value, indent=2, sort_keys=True, default=_json_default).replace("\n", nl)
+        inner = nl + "  "
+        items = [f"{_encode_str(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return _json_text(_json_default(value), nl)
+
+
+def _list_text(items, nl):
+    """A list or tuple as :func:`_json_text` writes it.
+
+    Floats (``float`` or ``np.float64``), complex numbers (``complex`` or
+    ``np.complex128``, each an [re, im] row) and equal-width rows of
+    ``float`` are formatted in one C-level pass over their cells; any other
+    list one item at a time.
+    """
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    kinds = set(map(type, items))
+    if kinds <= _FLOATS:
+        return _special_floats("[" + inner + ("," + inner).join(map(float.__repr__, items)) + nl + "]")
+    if kinds <= _COMPLEXES:
+        return _float_rows(np.array(items, dtype=complex).view(float).tolist(), 2, nl)
+    if kinds == {list}:
+        cells = list(itertools.chain.from_iterable(items))
+        if cells and len(set(map(len, items))) == 1 and set(map(type, cells)) == {float}:
+            return _float_rows(cells, len(items[0]), nl)
+    return "[" + inner + ("," + inner).join([_json_text(item, inner) for item in items]) + nl + "]"
+
+
+def _float_rows(cells, width, nl):
+    """Rows of ``width`` floats, ``cells`` holding them row after row, as indented JSON.
+
+    One ``%`` format of every cell: ``%r`` is ``float.__repr__`` for a ``float``.
+    """
+    inner = nl + "  "
+    cell = inner + "  "
+    row = "[" + cell + ("%r," + cell) * (width - 1) + "%r" + inner + "]"
+    body = ("," + inner).join([row] * (len(cells) // width)) % tuple(cells)
+    return _special_floats("[" + inner + body + nl + "]")
+
+
+def _special_floats(text):
+    """``text`` with repr's nan, inf and -inf as JSON's NaN, Infinity and -Infinity.
+
+    No other float repr, and no indent, holds the letter n.
+    """
+    if "n" in text:
+        return text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 def _write(text, path):
@@ -253,7 +352,7 @@ def _cmd_evolve(args):
 
 def _cmd_embed(args):
     k = _k_from_obj(_load_json(args.k), args.k, args.order)
-    return dataclasses.asdict(embedding.embedding_test(k))
+    return _fields(embedding.embedding_test(k))
 
 
 def _cmd_gw(args):
@@ -269,7 +368,7 @@ def _cmd_gw(args):
 
 
 def _cmd_counterexample(args):
-    return dataclasses.asdict(opmodel.sandwich_counterexample(args.a, args.b))
+    return _fields(opmodel.sandwich_counterexample(args.a, args.b))
 
 
 def _cmd_cfree_check(args):

@@ -41,8 +41,11 @@ _POSITIVITY_TOL = 1e-6
 
 _RING_RADII = (0.2, 0.4, 0.6)
 _RING_ANGLES = 8
+# the log branches in search order 0, 1, -1, 2, -2, ...
+_BRANCHES = np.array([0] + [sign * j for j in range(1, _BRANCH_BOUND + 1) for sign in (1, -1)])
 # nodes of the argument-principle count of the zeros of K' inside the outer ring
 _CRITICAL_NODES = 256
+_CRITICAL_RING = ring_grid(_RING_RADII[-1:], _CRITICAL_NODES)
 
 
 def default_grid() -> np.ndarray:
@@ -88,7 +91,9 @@ def embedding_test(k: KTransform) -> EmbeddingVerdict:
     :func:`dirac_embedding` for the full countable family).  The derivative
     and positivity checks run on :func:`default_grid`; the log branches
     0, +-1, ..., +-8 are searched, and a branch passes when
-    Re(beta u/u(0)) >= -1e-6 at every grid point.
+    Re(beta u/u(0)) >= -1e-6 at every grid point.  All 17 branches are
+    tested in one (17 x 24) array pass, and K' is evaluated once, on the
+    grid and the 256-node ring of the critical-point count together.
     """
     if k.order < 1:
         raise DomainError("the embedding test needs a K-transform of order >= 1")
@@ -103,7 +108,8 @@ def embedding_test(k: KTransform) -> EmbeddingVerdict:
         return EmbeddingVerdict(embeddable=False, reason="limit_diverges")
 
     pts = default_grid()
-    dk = k.derivative_eval(pts)
+    # K' on the grid and on the critical-point ring, in one evaluation
+    dk, ring = np.split(k.derivative_eval(np.concatenate((pts, _CRITICAL_RING))), [pts.size])
     if np.min(np.abs(dk)) <= _DERIV_TOL:
         return EmbeddingVerdict(embeddable=False, reason="derivative_vanishes")
 
@@ -113,12 +119,11 @@ def embedding_test(k: KTransform) -> EmbeddingVerdict:
         u_norm = h(w) / (pts * dk * h.derivative()(w))
 
     principal = -np.log(c1)  # |c1| < 1, so every branch of the product is nonzero
-    passing = []
-    for branch in _branch_order():
-        product = principal - TWO_PI * 1j * branch
-        if float(np.min(np.real(product / abs(product) * u_norm))) >= -_POSITIVITY_TOL:
-            passing.append(branch)
-    if not passing or _has_critical_point(k):
+    products = principal - TWO_PI * 1j * _BRANCHES
+    # Re(beta u/u(0)) of every branch (rows) at every grid point (columns)
+    real_parts = np.real((products / np.abs(products))[:, None] * u_norm)
+    passing = _BRANCHES[np.min(real_parts, axis=1) >= -_POSITIVITY_TOL].tolist()
+    if not passing or _has_critical_point(ring):
         return EmbeddingVerdict(
             embeddable=False,
             reason="derivative_vanishes" if passing else "positivity_fails",
@@ -155,23 +160,15 @@ def _koenigs_series(k: KTransform) -> TruncatedSeries:
     return TruncatedSeries(h)
 
 
-def _has_critical_point(k: KTransform) -> bool:
-    """Whether K' has a zero inside the outer grid ring (or on it).
+def _has_critical_point(d: np.ndarray) -> bool:
+    """Whether K' has a zero inside the outer grid ring (or on it), from ``d``, K' on ``_CRITICAL_RING``.
 
     By the argument principle the winding number of K' around that circle
     counts its zeros inside; a zero on the circle makes it NaN.
     """
-    d = k.derivative_eval(ring_grid(_RING_RADII[-1:], _CRITICAL_NODES))
     with np.errstate(invalid="ignore", divide="ignore"):
         winding = np.sum(np.angle(np.roll(d, -1) / d)) / TWO_PI
     return not abs(winding) < 0.5
-
-
-def _branch_order():
-    yield 0
-    for j in range(1, _BRANCH_BOUND + 1):
-        yield j
-        yield -j
 
 
 def _rotation_angle(k: KTransform):

@@ -58,6 +58,11 @@ file's bytes once; both must fail with the same message.
 ``evolve_by_unique`` is :func:`monoconv.semigroup.evolve` with its former
 time bookkeeping, the grid and row map of ``np.unique(return_inverse=True)``,
 where ``evolve`` sorts a set of Python floats.
+``embedding_test_by_branch`` is :func:`monoconv.embedding.embedding_test`
+with its former loop, one NumPy pass per log branch, and two separate K'
+evaluations, on the grid and on the critical-point ring, where the library
+tests every branch in one array pass and evaluates K' once on both point
+sets.  The verdicts must be equal field by field.
 ``grouped_generation_by_merge`` is a Galton-Watson generation with its
 former bookkeeping: the cost rule on arrays, and the draws merged by
 ``np.unique(return_inverse=True)`` and ``np.add.at``, where
@@ -71,10 +76,12 @@ from itertools import combinations, groupby, product
 
 import numpy as np
 
-from monoconv import branching, semigroup
+from monoconv import branching, embedding, semigroup
+from monoconv._util import TWO_PI, ring_grid
 from monoconv.cfree import CFreeEvaluator, Word, _tail
 from monoconv.cli import InputError
-from monoconv.embedding import default_grid
+from monoconv.embedding import EmbeddingVerdict, default_grid
+from monoconv.errors import DomainError
 from monoconv.measure import KTransform, k_transform, moments_from_k
 from monoconv.series import TruncatedSeries
 
@@ -486,3 +493,65 @@ def grouped_generation_by_merge(rng, sizes, counts, p, powers):
     counts = np.zeros(sizes.size, dtype=np.int64)
     np.add.at(counts, where, np.concatenate(tally_counts))
     return sizes, counts
+
+
+def embedding_test_by_branch(k) -> EmbeddingVerdict:
+    """:func:`monoconv.embedding.embedding_test`, one pass per branch and one K' call per point set."""
+    if k.order < 1:
+        raise DomainError("the embedding test needs a K-transform of order >= 1")
+    rot = embedding._rotation_angle(k)
+    if rot is not None:
+        return embedding._dirac_verdict(rot)
+
+    c1 = k.derivative_at_zero
+    if abs(c1) <= embedding._DERIV_TOL:
+        return EmbeddingVerdict(embeddable=False, reason="derivative_vanishes")
+    if abs(c1) >= 1.0:
+        return EmbeddingVerdict(embeddable=False, reason="limit_diverges")
+
+    pts = default_grid()
+    dk = k.derivative_eval(pts)
+    if np.min(np.abs(dk)) <= embedding._DERIV_TOL:
+        return EmbeddingVerdict(embeddable=False, reason="derivative_vanishes")
+
+    w = k.eval(pts)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = embedding._koenigs_series(k)
+        u_norm = h(w) / (pts * dk * h.derivative()(w))
+
+    principal = -np.log(c1)
+    passing = []
+    for branch in [0] + [sign * j for j in range(1, embedding._BRANCH_BOUND + 1) for sign in (1, -1)]:
+        product = principal - TWO_PI * 1j * branch
+        if float(np.min(np.real(product / abs(product) * u_norm))) >= -embedding._POSITIVITY_TOL:
+            passing.append(branch)
+    if not passing or _has_critical_point_of(k):
+        return EmbeddingVerdict(
+            embeddable=False,
+            reason="derivative_vanishes" if passing else "positivity_fails",
+            grid=tuple(pts),
+            u_estimate=tuple(u_norm),
+            iterations=1,
+        )
+    product = principal - TWO_PI * 1j * passing[0]
+    t0 = abs(product)
+    return EmbeddingVerdict(
+        embeddable=True,
+        reason="ok",
+        grid=tuple(pts),
+        u_estimate=tuple(u_norm),
+        t0=t0,
+        beta=complex(product / t0),
+        branch_index=passing[0],
+        branches_found=tuple(passing),
+        product=complex(product),
+        iterations=1,
+    )
+
+
+def _has_critical_point_of(k) -> bool:
+    """Whether K' has a zero inside or on the outer grid ring, by its winding number there."""
+    d = k.derivative_eval(ring_grid(embedding._RING_RADII[-1:], embedding._CRITICAL_NODES))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        winding = np.sum(np.angle(np.roll(d, -1) / d)) / TWO_PI
+    return not abs(winding) < 0.5

@@ -347,6 +347,81 @@ def test_render_csv_matches_reference(rows):
     assert [line.split(",") for line in lines[1:]] == [[csv_cell(v) for v in row] for row in rows]
 
 
+# The bulk JSON renderer against the json module's encoder, on trees that mix
+# every branch the renderer takes with the values where the two could differ.
+def json_reference(value):
+    return json.dumps(value, indent=2, sort_keys=True, default=cli._json_default) + "\n"
+
+
+FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1 + 0.2]))
+COMPLEXES = st.builds(complex, FLOATS, FLOATS)
+NUMPY_SCALARS = st.one_of(
+    FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    COMPLEXES.map(np.complex128),
+)
+SCALARS = st.one_of(
+    FLOATS, NUMPY_SCALARS, COMPLEXES, st.integers(-(10**30), 10**30), st.booleans(), st.none(), st.text(max_size=4)
+)
+ROWS = st.one_of(
+    st.integers(1, 3).flatmap(lambda w: st.lists(st.lists(FLOATS, min_size=w, max_size=w), max_size=4)),
+    st.lists(st.one_of(COMPLEXES, COMPLEXES.map(np.complex128)), max_size=4),
+    st.lists(st.lists(FLOATS, max_size=3), max_size=4),  # ragged, empty rows among them
+    st.lists(st.lists(st.one_of(FLOATS, FLOATS.map(np.float64), st.integers()), min_size=2, max_size=2), max_size=4),
+)
+KEYS = st.text(st.sampled_from('a"\\\x00\x1f\n\té☃\U0001d11e'), max_size=3)
+
+
+def json_trees(depth):
+    leaves = st.one_of(SCALARS, ROWS, st.lists(FLOATS, max_size=4), st.lists(FLOATS, max_size=4).map(tuple))
+    if depth == 1:
+        return leaves
+    children = json_trees(depth - 1)
+    return st.one_of(
+        leaves,
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(KEYS, children, max_size=3),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(KEYS, json_trees(3), max_size=4))
+def test_render_json_matches_the_json_module(payload):
+    assert cli._render(payload) == json_reference(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"ints": {2: [1.0], 0.5: None, -1: {}}, "flags": {True: 1}, "none": {None: "x"}},  # the encoder's own keys
+        {"rows": ([1.0, 2.0], [3.0, 4.0]), "tuples": [(1.0, 2.0)], "nested": [[np.complex128(1j)]]},
+        {"np": [np.complex64(1 + 2j), np.float32(0.1), np.int8(-3)], "text": "☃\"\\\n"},
+    ],
+)
+def test_render_json_matches_the_json_module_on_rare_shapes(payload):
+    assert cli._render(payload) == json_reference(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"a": object()},
+        {"a": [1.0, 2.0, np.zeros(2)]},
+        {"a": {"b": [[1.0], object()]}},
+        {"a": {1: 2, "b": 3}},
+        {"a": {(1,): 2}},
+    ],
+)
+def test_render_json_fails_as_the_json_module_does(payload):
+    with pytest.raises(TypeError) as expected:
+        json_reference(payload)
+    with pytest.raises(TypeError) as got:
+        cli._render(payload)
+    assert str(got.value) == str(expected.value)
+
+
 @pytest.mark.parametrize("z", [0.3, -0.0 - 0.0j, complex(0.1, -2e-17), complex(math.nan, math.inf), -1e-300 + 1e300j])
 def test_gw_point_cell_matches_reference(tmp_path, capsys, monkeypatch, z):
     # the z column is the only complex cell; gw formats it itself

@@ -1,5 +1,6 @@
 """``scripts/cli_digest.py`` digests the CLI jobs it is asked for and flags changed jobs."""
 
+import contextlib
 import importlib.util
 import io
 import json
@@ -94,3 +95,15 @@ def test_compare_fails_when_a_job_changes_exit_code_or_layout(script, tmp_path, 
     assert ("FAIL changed exit or shape: ('crosscheck', 1, 3) (gw, exit 0 -> " in out) == bool(code)
     if "cells" in changes and not code:
         assert "crosscheck gw 1 1 0.25\n" in out
+
+
+def test_compare_prints_to_stdout_as_it_is_at_the_call(script, tmp_path, capsys):
+    old, new = _dump(tmp_path / "old.jsonl"), _dump(tmp_path / "new.jsonl", sha256="b", cells=[0.5, 1.25])
+    assert script.compare(old, new) == 0
+    captured = capsys.readouterr().out
+    assert captured == "workload kind jobs byte-different max-abs-drift\ncrosscheck gw 1 1 0.25\n"
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert script.compare(old, new) == 0
+    assert buffer.getvalue() == captured
+    assert capsys.readouterr().out == ""

@@ -1,11 +1,14 @@
+import cmath
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import iterated_generator
+from oracles import embedding_test_by_branch, iterated_generator
 
 from monoconv.branching import BranchingGenerator
-from monoconv.embedding import default_grid, dirac_embedding, embedding_test
+from monoconv.embedding import EmbeddingVerdict, default_grid, dirac_embedding, embedding_test
 from monoconv.errors import DomainError
 from monoconv.generator import HerglotzGenerator
 from monoconv.measure import CircleMeasure, KTransform, k_transform
@@ -220,3 +223,64 @@ def test_koenigs_route_matches_the_iteration_where_it_converges(member):
     if iterated is not None:
         v = embedding_test(k)
         assert np.max(np.abs(np.array(v.u_estimate) - iterated)) <= 1e-7
+
+
+# -- the one-pass branch test against the per-branch loop ------------------------
+
+
+def assert_same_verdict(got, want):
+    """Every field equal, NaN equal to NaN; ``grid`` and ``u_estimate`` bit for bit."""
+    for field in dataclasses.fields(EmbeddingVerdict):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        if isinstance(a, tuple):
+            assert list(map(type, a)) == list(map(type, b)), field.name
+        if field.name in ("grid", "u_estimate") and a is not None:
+            assert np.array(a, dtype=complex).tobytes() == np.array(b, dtype=complex).tobytes(), field.name
+        elif isinstance(a, (float, complex)):
+            assert a == b or (cmath.isnan(a) and cmath.isnan(b)), field.name
+        else:
+            assert a == b, field.name
+
+
+def atoms_strategy(min_size, max_size):
+    return st.lists(st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.05, 1.0)), min_size=min_size, max_size=max_size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=st.floats(-1.0, 1.0),
+    rho=atoms_strategy(1, 4),
+    t=st.floats(0.1, 2.0),
+    order=st.sampled_from([1, 2, 16, 32, 48, 64]),
+)
+def test_branch_pass_matches_the_per_branch_loop_on_flow_members(b, rho, t, order):
+    k = KTransform(flow_coefficients(HerglotzGenerator(b=b, rho=rho), t, order))
+    assert_same_verdict(embedding_test(k), embedding_test_by_branch(k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(atoms=atoms_strategy(2, 4), order=st.integers(16, 64))
+def test_branch_pass_matches_the_per_branch_loop_on_atomic_measures(atoms, order):
+    angles, weights = zip(*atoms)
+    k = k_transform(CircleMeasure.from_atoms(angles, np.array(weights) / sum(weights)), order)
+    assert_same_verdict(embedding_test(k), embedding_test_by_branch(k))
+
+
+@pytest.mark.parametrize(
+    "k, reason",
+    [
+        (KTransform.from_coefficients([0, 0.6, 0, 0.4]), "ok"),  # wrongly accepted: K' = 0 at +-i/sqrt(2)
+        (KTransform.dirac(1.0, 16), "dirac_special_case"),
+        (KTransform.from_coefficients([0, 1e-10, 0.5] + [0.0] * 13), "derivative_vanishes"),  # K'(0) ~ 0
+        (KTransform.from_coefficients([0, 1.2, 0.1] + [0.0] * 10), "limit_diverges"),
+        (KTransform.from_coefficients([0, -1.0, 0.1]), "limit_diverges"),  # |K'(0)| = 1, not a rotation
+        (KTransform.from_coefficients([0, 0.2, 0.8] + [0.0] * 30), "positivity_fails"),
+        # K' = 0 at |z| = 0.21 and 0.45: the critical-point veto
+        (three_atoms([0.44227162, 5.28967071, 2.6265537], [0.42887934, 0.224823], 16), "derivative_vanishes"),
+    ],
+)
+def test_branch_pass_matches_the_per_branch_loop_on_every_exit(k, reason):
+    verdict = embedding_test(k)
+    assert verdict.reason == reason
+    assert_same_verdict(verdict, embedding_test_by_branch(k))
