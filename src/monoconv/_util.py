@@ -1,4 +1,4 @@
-"""Small shared helpers, among them the one atom check and atom Fourier sum."""
+"""Small shared helpers, among them the one atom check, atom Fourier sum and integer argument check."""
 
 from __future__ import annotations
 
@@ -12,6 +12,17 @@ def canonical_angle(theta):
     a = np.mod(theta, TWO_PI)
     a = np.where(a == TWO_PI, 0.0, a)  # a tiny negative angle rounds up to 2*pi
     return float(a) if a.ndim == 0 else a
+
+
+def integral_at_least(value, name: str, least: int) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integral value >= ``least``."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value or as_int < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return as_int
 
 
 def atoms(angles, weights):

@@ -538,8 +538,10 @@ def canonical_words(max_len: int, max_power: int):
     by its extension by power 2, and so on, so every word's prefix one
     letter shorter is the word before it or a prefix of that word.  The
     letters are generated alternating with powers >= 1, so the words are
-    built without :class:`Word`'s validation.
+    built without :class:`Word`'s validation.  A max_len below 1 gives no word.
     """
+    if max_len < 1:
+        return
     # one-letter extensions by algebra, pushed in reverse to pop ascending
     steps = {alg: [((alg, p),) for p in range(max_power, 0, -1)] for alg in (1, 2)}
     for start in (1, 2):

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import TWO_PI, atom_moments, atoms, ring_grid, toeplitz_from_moments
+from ._util import TWO_PI, atom_moments, atoms, integral_at_least, ring_grid, toeplitz_from_moments
 from .errors import DomainError
 from .series import DEFAULT_ORDER, TruncatedSeries, horner
 
@@ -293,12 +293,12 @@ def poisson_density(mu: CircleMeasure, r: float, grid_size: int) -> np.ndarray:
     Returns p(theta_j) = 1 + 2 sum_k Re(m_k r^k e^{-i k theta_j}) for
     theta_j = 2*pi*j/grid_size, a density with respect to d(theta)/(2*pi).
     The trapezoid integral over the grid equals 1 exactly as long as
-    grid_size exceeds the number of moments used.
+    grid_size exceeds the number of moments used.  ``grid_size`` must be an
+    integer >= 1.
     """
     if not 0.0 < r < 1.0:
         raise DomainError("Poisson radius must lie in (0, 1)")
-    if grid_size < 1:
-        raise ValueError("grid_size must be positive")
+    grid_size = integral_at_least(grid_size, "grid_size", 1)
     if mu.is_atomic:
         # pick enough moments for the geometric tail to fall below 1e-9
         n = DEFAULT_ORDER

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError
-from ._util import atoms
+from ._util import atoms, integral_at_least
 
 __all__ = [
     "MatrixModel",
@@ -119,8 +119,11 @@ def check_monotone_independence(
     Condition (a): X Y Z = Phi(Y) X Z in operator norm, X, Z products of
     left operators, Y a product of right operators.  Condition (b):
     Phi(X Y Z) = Phi(X) Phi(Y) Phi(Z) with the roles swapped.  Empty
-    operator lists make the conditions vacuous (defect 0).
+    operator lists make the conditions vacuous (defect 0).  ``word_len``
+    and ``trials`` must be integers >= 1.
     """
+    word_len = integral_at_least(word_len, "word_len", 1)
+    trials = integral_at_least(trials, "trials", 1)
     left = list(left_names)
     right = list(right_names)
     if not left or not right:
@@ -186,7 +189,8 @@ def k_operator(x, omega, z):
 
 
 def operator_moments(x, omega, n: int) -> np.ndarray:
-    """Moments <omega, x^k omega>, k = 1..n."""
+    """Moments <omega, x^k omega>, k = 1..n, for an integer n >= 0."""
+    n = integral_at_least(n, "n", 0)
     x = np.asarray(x, dtype=complex)
     v = np.asarray(omega, dtype=complex).ravel()
     out = np.zeros(n, dtype=complex)

@@ -741,6 +741,12 @@ def test_depth_first_words_are_the_length_first_words(max_len, max_power):
     assert len(words[-1]) == max_len
 
 
+@pytest.mark.parametrize("max_len, max_power", [(0, 2), (-1, 1), (2, 0)])
+def test_bounds_below_1_give_the_length_first_words(max_len, max_power):
+    words = [word.letters for word in canonical_words(max_len, max_power)]
+    assert words == [word.letters for word in length_first_words(max_len, max_power)] == []
+
+
 def test_sweep_passes_monotone_eval_the_canonical_order(monkeypatch):
     monotone = cfree.monotone_eval
     seen = []

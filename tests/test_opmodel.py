@@ -6,7 +6,7 @@ import pytest
 from monoconv.convolution import monotone_convolve
 from monoconv.errors import DomainError
 from monoconv.generator import HerglotzGenerator
-from monoconv.measure import CircleMeasure, k_transform
+from monoconv.measure import CircleMeasure, k_transform, poisson_density
 from monoconv.opmodel import (
     MatrixModel,
     check_monotone_independence,
@@ -434,3 +434,32 @@ def test_random_unitary_is_unitary():
 def test_sqrt_rejects_indefinite():
     with pytest.raises(DomainError):
         matrix_sqrt_hermitian(np.diag([1.0, -1.0]))
+
+
+def _independence(**counts):
+    prod, _, _ = rand_product(np.random.default_rng(4), 2, 3)
+    return check_monotone_independence(prod, ["X", "Z"], ["Y"], **counts)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: poisson_density(CircleMeasure([0.0], [1.0]), 0.5, 2.5), "grid_size"),
+        (lambda: poisson_density(CircleMeasure([0.0], [1.0]), 0.5, 0), "grid_size"),
+        (lambda: _independence(word_len=0), "word_len"),
+        (lambda: _independence(word_len=1.5), "word_len"),
+        (lambda: _independence(trials=-1), "trials"),
+        (lambda: _independence(trials=0), "trials"),
+        (lambda: operator_moments(np.eye(2), [1.0, 0.0], -1), "n"),
+        (lambda: operator_moments(np.eye(2), [1.0, 0.0], 2.5), "n"),
+    ],
+)
+def test_integer_arguments_are_checked(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        call()
+
+
+def test_integral_arguments_of_another_type_are_taken():
+    assert poisson_density(CircleMeasure([0.0], [1.0]), 0.5, 4.0).shape == (4,)
+    assert _independence(word_len=np.int64(2), trials=3.0) <= 1e-10
+    assert operator_moments(np.eye(2), [1.0, 0.0], 0).shape == (0,)

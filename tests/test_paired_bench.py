@@ -1,8 +1,10 @@
-"""``scripts/paired_bench.py`` pairs only the job kinds it is asked for and reports each side end to end."""
+"""``scripts/paired_bench.py`` pairs only the job kinds it is asked for, reports each side end to end and
+reports how each differing output changed."""
 
 import contextlib
 import importlib.util
 import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -109,3 +111,141 @@ def test_end_to_end_line_per_side(script, monkeypatch):
         assert line.split()[1] == name
         assert line.endswith(f"  jobs_per_s {rate:.1f}  p50 {np.median(ms):.3f} ms  p95 {np.percentile(ms, 95):.3f} ms")
     assert lines[0].endswith("jobs_per_s 400.0  p50 2.500 ms  p95 4.000 ms")
+
+
+CELLS = {"exit": 0, "layout": "L", "cells": [0.5, 1.0]}
+
+
+def _cells_worker(base, change):
+    """FakeWorker whose job 0 (gw) answers CELLS updated by ``base`` or ``change``, with a digest of them."""
+
+    class CellsWorker(FakeWorker):
+        made = []
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.cells = dict(CELLS, **(base if self.module == "base" else change))
+            self.asked = []
+            self.made.append(self)
+
+        def ask(self, request):
+            self.asked.append(next(iter(request)))
+            if "cells" in request:
+                assert request["cells"] == 0
+                return self.cells
+            answer = super().ask(request)
+            if request.get("job") == 0:
+                answer["digest"] = repr(self.cells)
+            return answer
+
+    return CellsWorker
+
+
+@pytest.mark.parametrize(
+    "base, change, row, listed",
+    [
+        ({}, {}, "0 0", None),
+        ({}, {"cells": [0.5, 1.25]}, "2 0.25", "drift 0.25"),  # a number moved, in both passes
+        ({"cells": [np.nan, 1.0]}, {"cells": [np.nan, 1.25]}, "2 0.25", "drift 0.25"),  # NaN against NaN: no drift
+        ({}, {"cells": [np.nan, 1.0]}, "2 inf", "drift inf"),
+        ({}, {"exit": 4}, "2 0", "changed shape: exit 0 -> 4"),
+        ({}, {"exit": "failed", "layout": "M"}, "2 0", "changed shape: exit 0 -> failed, layout"),
+        ({}, {"layout": "M"}, "2 0", "changed shape: layout"),
+        ({}, {"cells": [0.5]}, "2 0", "changed shape: 2 -> 1 numbers"),
+    ],
+)
+def test_drift_and_shape_changes_are_reported(script, monkeypatch, capsys, base, change, row, listed):
+    worker = _cells_worker(base, change)
+    monkeypatch.setattr(script, "_Worker", worker)
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):  # the report goes to sys.stdout as it is at the call
+        assert script.run(Path("base"), "crosscheck", 2, 1) == (listed is not None)
+    assert capsys.readouterr().out == ""
+    lines = buffer.getvalue().splitlines()
+    columns = [[line.split()[i] for i in (0, -2, -1)] for line in lines[4:8]]
+    assert columns == [["cfree_check", "0", "0"], ["cfree_eval", "0", "0"], ["gw", *row.split()], ["all", *row.split()]]
+    if listed is None:
+        assert lines[-1] == "jobs whose outputs differ: 0"
+        assert [w.asked.count("cells") for w in worker.made] == [0, 0]
+    else:
+        assert lines[-3:] == ["jobs whose outputs differ: 2", f"  pass 1 job 0 (gw): {listed}",
+                              f"  pass 2 job 0 (gw): {listed}"]
+        # cells are asked for after both sides ran the job, one job of each timed pass
+        assert [w.asked.count("cells") for w in worker.made] == [2, 2]
+        assert all(w.asked[w.asked.index("cells") - 1] == "job" for w in worker.made)
+
+
+def test_library_numbers_are_collected_in_order_and_the_rest_is_layout(script):
+    value = {"b": np.array([[1 + 2j, 3.5]]), "a": (np.float64(0.25), 7, True, "x 1e-3 m1")}
+    got = script._cells({"kind": "k"}, value, None)
+    assert got["exit"] is None and got["cells"] == [0.25, 7.0, 0.001, 1.0, 2.0, 3.5, 0.0]
+    assert json.loads(json.dumps(got)) == got  # the reply crosses the pipe as JSON
+    moved = {"b": np.array([[1 + 2j, 3.75]]), "a": (np.float64(0.5), 8, True, "x 2e-3 m1")}
+    assert script._cells({"kind": "k"}, moved, None)["layout"] == got["layout"]
+    assert script._digest(moved, None) != script._digest(value, None)
+    for reshaped in (
+        {**value, "a": (np.float64(0.25), 7, False, "x 1e-3 m1")},  # a bool is no number
+        {**value, "b": np.array([1 + 2j, 3.5])},
+        {**value, "b": np.array([[1 + 2j, 3.5]], dtype=np.complex64)},
+        {**value, "a": (0.25, 7, True, "x 1e-3 m2")},
+    ):
+        assert script._cells({"kind": "k"}, reshaped, None)["layout"] != got["layout"]
+
+
+def test_a_cli_exit_code_or_failure_is_no_number(script):
+    cli = {"kind": "k", "argv": []}
+    got = script._cells(cli, (3, "re(z) 1.5, m1 NaN -Infinity 2\n"), None)
+    assert got["exit"] == 3 and np.array_equal(got["cells"], [1.5, np.nan, -np.inf, 2.0], equal_nan=True)
+    again = script._cells(cli, (0, "re(z) 1.5, m1 NaN -Infinity 2\n"), None)
+    assert again["exit"] == 0 and again["layout"] == got["layout"] and repr(again["cells"]) == repr(got["cells"])
+    assert script._cells(cli, None, "ValueError: 3")["exit"] == "failed"
+
+
+def test_the_worker_answers_the_cells_of_a_job_it_ran():
+    module = _script()
+    side = module._Worker(module.ROOT, "crosscheck", 3)
+    try:
+        plan = side.ask({"pass": 1})
+        job = next(job for job, kind in plan["jobs"] if kind == "gw")
+        answer = side.ask({"job": job})
+        cells = side.ask({"cells": job})
+    finally:
+        side.close()
+    assert not answer["failed"]
+    assert cells["exit"] == 0 and cells["cells"] and all(isinstance(c, float) for c in cells["cells"])
+
+
+class ClosingWorker(FakeWorker):
+    """Starts once, records its close, and raises on every later start as a worker that dies does."""
+
+    made = []
+
+    def __init__(self, *args):
+        if self.made:
+            raise RuntimeError("worker exited with code 1")
+        super().__init__(*args)
+        self.closed = False
+        self.made.append(self)
+
+    def close(self):
+        self.closed = True
+
+
+def test_a_worker_that_fails_to_start_leaves_none_running(script, monkeypatch):
+    monkeypatch.setattr(script, "_Worker", ClosingWorker)
+    monkeypatch.setattr(ClosingWorker, "made", [])
+    with pytest.raises(RuntimeError, match="worker exited"):
+        script.run(Path("base"), "crosscheck", 1, 1, out=io.StringIO())
+    assert [worker.closed for worker in ClosingWorker.made] == [True]
+
+
+def test_a_base_without_the_package_or_the_workloads_exits_2(script, tmp_path, capsys):
+    for missing, present in (("src/monoconv/__init__.py", None), ("perfbench/workloads.py", "src/monoconv/__init__.py")):
+        if present:
+            (tmp_path / present).parent.mkdir(parents=True)
+            (tmp_path / present).touch()
+        with pytest.raises(SystemExit) as exit_:
+            script.main(["--base", str(tmp_path), "--workload", "flow"])
+        assert exit_.value.code == 2
+        assert f"--base {tmp_path} has no {missing}" in capsys.readouterr().err
+    assert script.workers == []
