@@ -16,6 +16,7 @@ from itertools import accumulate, compress
 
 import numpy as np
 
+from ._util import integral_at_least
 from .errors import DomainError, SupercriticalOverflowError
 from .measure import KTransform
 from .series import DEFAULT_ORDER, TruncatedSeries, horner
@@ -84,11 +85,9 @@ class BranchingGenerator:
     __slots__ = ("_rates", "_alpha")
 
     def __init__(self, rates):
-        """``rates`` maps offspring count j >= 2 to lambda_j >= 0."""
-        items = sorted((int(j), float(lam)) for j, lam in dict(rates).items())
-        for j, lam in items:
-            if j < 2:
-                raise ValueError("branching rates start at offspring count 2")
+        """``rates`` maps offspring count j >= 2, an integral value, to lambda_j >= 0."""
+        items = sorted((integral_at_least(j, "offspring count", 2), float(lam)) for j, lam in dict(rates).items())
+        for _, lam in items:
             if not 0 <= lam < np.inf:
                 raise ValueError("branching rates must be finite and nonnegative")
         self._rates = tuple(items)
@@ -96,9 +95,7 @@ class BranchingGenerator:
 
     @classmethod
     def yule(cls, alpha: float, k: int) -> "BranchingGenerator":
-        """Single replacement by k individuals at rate alpha."""
-        if k < 2:
-            raise ValueError("Yule offspring count must be >= 2")
+        """Single replacement by k >= 2 individuals at rate alpha."""
         return cls({k: alpha})
 
     @property
@@ -353,15 +350,14 @@ def simulate_gw(law: OffspringLaw, n_steps: int, trials: int, z_samples, seed: i
     distribution.  The seed fully determines the output (single PCG64
     stream).  A population above 10**7 in any trial aborts with an explicit
     supercritical-overflow error.  Sample points must lie in the closed
-    unit disk, where z^{Y_n} cannot overflow.  Trial counts are int64, so
+    unit disk, where z^{Y_n} cannot overflow.  ``trials`` and ``n_steps``
+    must be integral values, at least 1 and 0; trial counts are int64, so
     ``trials`` must be below 2**63.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = integral_at_least(trials, "trials", 1)
     if trials >= 2**63:  # trial counts are held in int64
         raise ValueError(f"trial count must be below 2**63, got {trials}")
-    if n_steps < 0:
-        raise ValueError("step count must be >= 0")
+    n_steps = integral_at_least(n_steps, "n_steps", 0)
     zs = [complex(z) for z in np.atleast_1d(np.asarray(z_samples, dtype=complex))]
     if not all(abs(z) <= 1.0 for z in zs):
         raise DomainError("generating values are sampled for |z| <= 1")

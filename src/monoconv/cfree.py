@@ -30,12 +30,14 @@ multiplied or added.
 Words that share a prefix share its walk.  The walk of s = l_1 ... l_m
 leaves a record: c_1 ... c_m, the split of l_m, the product of the
 phi(c_j), and the drop states of the split letters before l_m.  Those
-drops, the letter x appended, are the drops of s x at the same letters,
-so the walk of s x extends the record: it reads their values, then the
-value of l_m's drop c_1 ... c_{m-2} (c_{m-1} x), then splits x and reads
-the value of its drop c_1 ... c_m, and multiplies in phi(c_x).  An
-evaluator keeps the records of the last word's prefixes, and the sweep
-yields its words depth first, so each word extends the record of the
+drops, the letters t = x_1 ... x_k appended, are the drops of s t at the
+same letters, so the walk of s t goes on from the record: it reads their
+values, then the value of l_m's drop c_1 ... c_{m-2} (c_{m-1} x_1)
+x_2 ... x_k, then walks on through t and multiplies in the phi(c_x).
+The record of no letter, that of the empty state, makes the same walk a
+walk from scratch; there is no other walk.  An evaluator keeps the
+records of the last word's prefixes, and the sweep yields its words depth
+first, so each word is walked on by one letter from the record of the
 word before it or of one of that word's prefixes.  The word length is
 capped to keep the expansion bounded; the largest sweep the caps admit,
 976,560 words of length up to 8 and power up to 5, memoizes about
@@ -55,6 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+from ._util import integral_at_least
 from .errors import DomainError
 
 __all__ = [
@@ -72,6 +75,8 @@ _MAX_SWEEP_WORDS = 10**6
 # a sweep of rational moments carries s^N in the values of words of total
 # power N, so N, up to max_len * max_power, is capped too
 _MAX_SWEEP_POWER = 256
+# the record of the empty state (see CFreeEvaluator): a walk on from it is a walk from scratch
+_NO_LETTER = ((), (), None, (), 1, False)
 
 
 @dataclass(frozen=True)
@@ -90,12 +95,10 @@ class Word:
     def __init__(self, letters):
         merged = []
         for alg, power in letters:
-            alg = _integral(alg)
-            power = _integral(power)
-            if alg not in (1, 2):
-                raise ValueError("algebra index must be 1 or 2")
-            if power < 0:
-                raise ValueError("letter powers must be >= 0")
+            alg = integral_at_least(alg, "algebra index", 1)
+            if alg > 2:
+                raise ValueError(f"algebra index must be 1 or 2, got {alg}")
+            power = integral_at_least(power, "letter power", 0)
             if power == 0:
                 continue
             if merged and merged[-1][0] == alg:
@@ -121,17 +124,6 @@ class Word:
 
     def __len__(self):
         return len(self.letters)
-
-
-def _integral(value):
-    """value as an int; ValueError when it is not integral (1.5, nan, inf)."""
-    try:
-        as_int = int(value)
-    except OverflowError as exc:
-        raise ValueError(f"letters must be integral, got {value!r}") from exc
-    if as_int != value:
-        raise ValueError(f"letters must be integral, got {value!r}")
-    return as_int
 
 
 class MomentFunctional:
@@ -234,28 +226,29 @@ class CFreeEvaluator:
     (algebra, power) straight to the id of x^power.  A word of more than 16
     letters, the expansion cap, raises ``DomainError``.
 
-    A state is walked once, left to right (see the module docstring).  At
-    each letter with a nonzero psi value the walk reads the value of the
+    A state is walked once, left to right, on from the record of a prefix
+    walked before or from that of no letter (see the module docstring).
+    At each letter with a nonzero psi value the walk reads the value of the
     drop state from the memo, evaluating it only on a miss, records it
     with the psi scalar and goes on with the centered letter.  At the end
-    it derives the phi value of every letter of the centered prefix and
-    takes their product, then folds the recorded terms into it from right
-    to left.  The memo keeps the values of the words and drop states
-    walked, nothing between two splits.  Each letter of a state is checked
-    for a split once, centered ones included, since a psi tail that
-    overflowed to inf leaves a "centered" letter whose psi value is
-    inf - inf = nan; the centered letter a split leaves in its place is not
-    checked again.
+    it derives the phi value of each letter it added to the centered prefix
+    and multiplies it into the record's product, then folds the recorded
+    terms into that from right to left.  The memo keeps the values of the
+    words and drop states walked, nothing between two splits.  Each letter
+    of a state is checked for a split once, centered ones included, since a
+    psi tail that overflowed to inf leaves a "centered" letter whose psi
+    value is inf - inf = nan; the centered letter a split leaves in its
+    place is not checked again.
 
-    A word extends the record its prefix one letter shorter left (see the
-    module docstring) when the evaluator keeps it: it keeps the records of
-    the prefixes of the last word, at most 16.  A word the memo holds is
-    extended all the same, to keep its record, which reads only memoized
-    values.  A word of two letters is walked from scratch, then its record
-    is made by extending its first letter's.  Any other word whose prefix's
-    record is not kept is walked from scratch and leaves none, since the
-    records of its prefixes would need their values: drop states are
-    always walked from scratch.  Neither the records nor the order of the
+    A word is walked on from the record its prefix one letter shorter left
+    when the evaluator keeps it: it keeps the records of the prefixes of
+    the last word, at most 16.  A word the memo holds is walked all the
+    same, to keep its record, which reads only memoized values.  A word of
+    two letters whose prefix's record is not kept is walked from scratch,
+    and then so is its first letter, whose values that walk derived, for
+    its record.  Any other such word, and any drop state, is walked from
+    scratch and leaves no record, since the records of its prefixes would
+    take walks of the prefixes.  Neither the records nor the order of the
     words changes a value, an error or the memo.
 
     Work that is exactly zero is skipped: a zero drop value is not
@@ -284,9 +277,10 @@ class CFreeEvaluator:
         self._merged = {}  # (id, id) -> id of the product letter
         self._memo = {}
         # the records of the last word's prefixes, path[k] of length k + 1.  A
-        # record is (state, walked letters, the last letter's psi scalar or
+        # record is (state, centered letters, the last letter's psi scalar or
         # None, the (psi scalar, drop state, drop value) of the other split
-        # letters, the product of the phi values, whether it stopped at 0)
+        # letters, the product of the phi values, whether it stopped at 0);
+        # _NO_LETTER is the empty state's
         self._path = []
 
     def eval(self, word: Word):
@@ -308,22 +302,24 @@ class CFreeEvaluator:
         return self._word_value(state)
 
     def _word_value(self, state):
-        """The value of a word's state of >= 2 letters, extending its prefix's record if kept.
+        """The value of a word's state of >= 2 letters, walked on from its prefix's record if kept.
 
-        A word the memo holds is extended all the same, to keep its record:
-        its drops are memoized or single letters, so nothing is walked.
+        A word the memo holds is walked all the same, to keep its record:
+        its drops are memoized or single letters, so nothing else is walked.
         """
         path = self._path
         n = len(state)
         if len(path) >= n - 1 and path[n - 2][0] == state[:-1]:
             del path[n - 1 :]
+            value, record = self._extend(path[-1], state)
         else:
             path.clear()
-            value = self._value(state)
-            if n > 2:  # left without records; a prefix's would memoize the prefix
-                return value
-            path.append(self._first_record(state[0]))  # walked: its values are derived
-        value, record = self._extend(path[-1], state[-1])
+            if n > 2:  # left without records; a prefix's would take a walk of the prefix
+                return self._value(state)
+            value, record = self._extend(_NO_LETTER, state)
+            # the walk derived the first letter's values, so its own walk only reads them
+            path.append(self._extend(_NO_LETTER, state[:1])[1])
+        self._memo[state] = value
         path.append(record)
         return value
 
@@ -376,19 +372,52 @@ class CFreeEvaluator:
         hit = memo.get(state)
         if hit is not None:
             return hit
-        splits = self._splits
-        phi_values = self._phi_values
+        value = memo[state] = self._extend(_NO_LETTER, state)[0]
+        return value
+
+    def _extend(self, record, state):
+        """The value of ``state``, walked on from ``record``, that of a shorter prefix, and its record.
+
+        The record's state was walked, so its splits and phi values are
+        derived.  The walk reads the values of the record's drops with the
+        new letters appended, then of its last letter's drop, now merged
+        with the first new letter, then splits each new letter and reads the
+        value of its drop, and last derives the phi values of the new
+        centered letters: the order of a walk from scratch, which is the
+        walk on from ``_NO_LETTER``, less the work the record holds.  The
+        value is left for the caller to memoize.
+        """
+        known, prefix, scalar, heads, product, stopped = record
+        memo = self._memo
         merged = self._merged
+        start = len(known)
+        rest = state[start:]
+        drops = []  # (psi scalar, drop state, drop value) at each split letter but the last, left to right
+        for head_scalar, head, _ in heads:
+            drop = head + rest
+            value = memo.get(drop)
+            drops.append((head_scalar, drop, self._value(drop) if value is None else value))
+        if scalar is not None:  # the last letter walked, no longer an end letter, merges its neighbors
+            if start > 1:
+                pair = (prefix[-2], state[start])
+                joined = merged.get(pair)
+                if joined is None:
+                    joined = self._join(pair)
+                drop = (*prefix[:-2], joined, *state[start + 1 :])
+            else:
+                drop = rest
+            value = memo.get(drop)
+            drops.append((scalar, drop, self._value(drop) if value is None else value))
+        splits = self._splits
         last = len(state) - 1
-        terms = []  # (psi scalar, drop value) at each split, left to right
-        prefix = []  # the letters walked so far, centered where they split
-        for i, letter in enumerate(state):
+        for letter in rest:
             split = splits[letter]
             if split is None:
                 split = self._split(letter)
             if split:
                 # letter = scalar*1 + centered, and psi(centered) = 0
                 scalar, letter = split
+                i = len(prefix)  # the letter's index: prefix holds the letters before it
                 if 0 < i < last:
                     pair = (prefix[-1], state[i + 1])
                     joined = merged.get(pair)
@@ -396,93 +425,33 @@ class CFreeEvaluator:
                         joined = self._join(pair)
                     drop = (*prefix[:-1], joined, *state[i + 2 :])
                 else:  # an end letter has one neighbor, nothing to merge
-                    drop = (*prefix, *state[i + 1 :])
+                    drop = prefix if i else state[1:]
                 value = memo.get(drop)
-                terms.append((scalar, self._value(drop) if value is None else value))
-            prefix.append(letter)
-        # the centered prefix: phi factors letterwise.  Every factor is
-        # derived before the product, which stops at its first zero factor,
-        # so a missing moment raises just as in the full product.
-        factors = [phi_values[letter] for letter in prefix]
-        for k, factor in enumerate(factors):
+                value = self._value(drop) if value is None else value
+                if i < last:  # the last letter's drop is not extended: a longer state merges it
+                    drops.append((scalar, drop, value))
+            prefix += (letter,)
+        # the phi factors of the new centered letters, each derived in walk
+        # order even after the product has stopped at a zero factor, so a
+        # missing moment raises just as in the full product
+        phi_values = self._phi_values
+        for letter in prefix[start:]:
+            factor = phi_values[letter]
             if factor is None:
-                factors[k] = self._phi_value(prefix[k])
-        val = 1
-        for factor in factors:
-            if factor == 0:
-                val = factor
-                break
-            val = val * factor
-        # fold right to left; a zero term is neither multiplied nor added
-        for scalar, drop in reversed(terms):
-            if drop != 0:
-                val = scalar * drop if val == 0 else scalar * drop + val
-        memo[state] = val
-        return val
-
-    def _extend(self, record, letter):
-        """The value of ``record``'s state followed by ``letter``, and that state's record.
-
-        The record's state was walked, so its splits and phi values are
-        derived.  The walk of the longer state reads the values of the
-        record's drops with the letter appended, then of its last letter's
-        drop, then derives the new letter's split and reads the value of the
-        walked letters, its drop, then derives its phi value: the order of
-        a walk from scratch, less the work already done.
-        """
-        known, prefix, scalar, heads, product, stopped = record
-        memo = self._memo
-        tail = (letter,)
-        drops = []  # the new state's (psi scalar, drop state, drop value) but its last letter's
-        for head_scalar, head, _ in heads:
-            drop = head + tail
-            value = memo.get(drop)
-            drops.append((head_scalar, drop, self._value(drop) if value is None else value))
-        if scalar is not None:  # the last letter, no longer an end letter, merges its neighbors
-            if len(prefix) > 1:
-                pair = (prefix[-2], letter)
-                joined = self._merged.get(pair)
-                if joined is None:
-                    joined = self._join(pair)
-                drop = (*prefix[:-2], joined)
-            else:
-                drop = tail
-            value = memo.get(drop)
-            drops.append((scalar, drop, self._value(drop) if value is None else value))
-        split = self._splits[letter]
-        if split is None:
-            split = self._split(letter)
-        if split:
-            scalar, letter = split
-            value = memo.get(prefix)
-            last = self._value(prefix) if value is None else value
-        else:
-            scalar = None
-        factor = self._phi_values[letter]
-        if factor is None:  # derived even after a zero factor, as in a walk from scratch
-            factor = self._phi_value(letter)
-        if not stopped:
-            product, stopped = (factor, True) if factor == 0 else (product * factor, False)
-        state = known + tail
-        grown = (state, (*prefix, letter), scalar, drops, product, stopped)
+                factor = self._phi_value(letter)
+            if not stopped:
+                if factor == 0:
+                    product, stopped = factor, True
+                else:
+                    product = product * factor
         # fold right to left; a zero term is neither multiplied nor added
         val = product
-        if split and last != 0:
-            val = scalar * last if val == 0 else scalar * last + val
-        for scalar, _, drop in reversed(drops):
+        if split and value != 0:  # the last letter's term
+            val = scalar * value if val == 0 else scalar * value + val
+        for psi_value, _, drop in reversed(drops):
             if drop != 0:
-                val = scalar * drop if val == 0 else scalar * drop + val
-        memo[state] = val
-        return val, grown
-
-    def _first_record(self, letter):
-        """The record of the one-letter state ``letter``, whose split and phi values are derived."""
-        split = self._splits[letter]
-        scalar, centered = split if split else (None, letter)
-        factor = self._phi_values[centered]
-        # the product of a walk from scratch starts from 1
-        product, stopped = (factor, True) if factor == 0 else (1 * factor, False)
-        return (letter,), (centered,), scalar, (), product, stopped
+                val = psi_value * drop if val == 0 else psi_value * drop + val
+        return val, (state, prefix, scalar if split else None, drops, product, stopped)
 
     def _join(self, pair):
         """Derive the id of the product of the two letters in ``pair``.

@@ -28,7 +28,7 @@ from ._util import TWO_PI, canonical_angle, ring_grid
 from .errors import DomainError
 from .generator import HerglotzGenerator
 from .measure import KTransform
-from .series import TruncatedSeries, _power_table
+from .series import TruncatedSeries, _fill_power_columns
 
 __all__ = ["EmbeddingVerdict", "embedding_test", "dirac_embedding", "DiracEmbedding", "default_grid"]
 
@@ -148,14 +148,20 @@ def embedding_test(k: KTransform) -> EmbeddingVerdict:
 
 
 def _koenigs_series(k: KTransform) -> TruncatedSeries:
-    """The Koenigs function of ``k`` through its order, for 0 < |K'(0)| < 1."""
+    """The Koenigs function of ``k`` through its order, for 0 < |K'(0)| < 1.
+
+    The power table of K fills a column at a time as the solve reaches it,
+    as in :func:`~monoconv.semigroup.flow_coefficients`.
+    """
     c = k.series.coeffs
     n = k.order
     lam = c[1]
-    table = _power_table(c)  # table[k, m] = [K^k]_m
+    table = np.zeros((n + 1, n + 1), dtype=np.complex128)  # table[k, m] = [K^k]_m
+    table[1] = c
     h = np.zeros(n + 1, dtype=np.complex128)
     h[1] = 1.0
     for m in range(2, n + 1):
+        _fill_power_columns(table, m, m + 1)
         h[m] = np.dot(h[1:m], table[1:m, m]) / (lam - lam**m)
     return TruncatedSeries(h)
 

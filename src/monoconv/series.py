@@ -19,12 +19,13 @@ O(z^k), and block j is multiplied by G^j = O(z^(js)); each product keeps
 only the degrees that can still reach z^n.
 
 The whole truncated power table P[k, m] = [g^k]_m is built only where all
-of it is needed: by the Koenigs solve of :mod:`~monoconv.embedding`,
-and by :func:`~monoconv.semigroup.flow_coefficients`, which fills it a
-column at a time while it is still solving for g.  The table is
+of it is needed: by the Koenigs solve of :mod:`~monoconv.embedding` and
+by :func:`~monoconv.semigroup.flow_coefficients`.  Both fill it a column
+at a time with :func:`_fill_power_columns` as their solve reaches the
+column, the flow while it is still solving for g.  The table is
 triangular, and column m of g^k = g^(k-1) g needs only g_1..g_(m-1) and
 the columns before m: one matrix-vector product per column, about n^3/3
-multiply-adds.  :func:`_power_table` builds it for a known g.
+multiply-adds.
 
 Division by Newton doubling (Brent & Kung 1978): the reciprocal b of a
 series a starts from b_0 = 1/a_0, and each step b <- b (2 - a b) doubles
@@ -81,15 +82,6 @@ def _fill_power_columns(table: np.ndarray, start: int, stop: int) -> None:
     for m in range(start, stop):
         # a contiguous copy of g_(m-1)..g_1 keeps the product in BLAS
         table[2 : m + 1, m] = table[1:m, 1:m] @ table[1, m - 1 : 0 : -1].copy()
-
-
-def _power_table(g: np.ndarray) -> np.ndarray:
-    """The power table P[k, m] = [g^k]_m, k, m = 0..N, of g_0..g_N with g_0 = 0."""
-    table = np.zeros((g.size, g.size), dtype=np.complex128)
-    table[0, 0] = 1.0
-    table[1:2] = g  # no row 1 at order 0
-    _fill_power_columns(table, 2, g.size)
-    return table
 
 
 class TruncatedSeries:

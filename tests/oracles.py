@@ -42,6 +42,9 @@ the library's baby-step/giant-step composition.
 ``gw_exact_law`` is the law of a Galton-Watson generation Y_n read off the
 iterated generating function on roots of unity by one FFT, where the
 simulator draws from convolution powers of the offspring law.
+``power_table`` is the whole power table [g^k]_m of a known g, filled by
+the library's column step, where :meth:`monoconv.series.TruncatedSeries.compose`
+takes baby steps and giant steps.
 ``reciprocal_forward`` is the series reciprocal by forward substitution,
 b_k = -b_0 sum_(j=1..k) a_j b_(k-j), one dot product per coefficient, in
 double or long double precision, or exactly on ``Fraction`` entries with
@@ -83,7 +86,7 @@ from monoconv.cli import InputError
 from monoconv.embedding import EmbeddingVerdict, default_grid
 from monoconv.errors import DomainError
 from monoconv.measure import KTransform, k_transform, moments_from_k
-from monoconv.series import TruncatedSeries
+from monoconv.series import TruncatedSeries, _fill_power_columns
 
 
 def horner_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -95,6 +98,15 @@ def horner_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     for ck in outer.coeffs[n::-1]:
         acc = acc * g + ck
     return acc
+
+
+def power_table(g: np.ndarray) -> np.ndarray:
+    """The power table P[k, m] = [g^k]_m, k, m = 0..N, of g_0..g_N with g_0 = 0."""
+    table = np.zeros((g.size, g.size), dtype=np.complex128)
+    table[0, 0] = 1.0
+    table[1:2] = g  # no row 1 at order 0
+    _fill_power_columns(table, 2, g.size)
+    return table
 
 
 def reciprocal_forward(coeffs, dtype=np.complex128) -> np.ndarray:

@@ -340,6 +340,31 @@ def test_trial_counts_beyond_float_precision_stay_exact(trials):
         simulate_gw(OffspringLaw([0.25, 0.5, 0.25]), 4, 2**63, [0.5], seed=5)
 
 
+def test_a_fractional_trial_count_is_rejected_not_truncated():
+    # 2.5 used to draw 2 trials and divide their tally by 2.5
+    with pytest.raises(ValueError, match="trials must be an integer >= 1, got 2.5"):
+        simulate_gw(OffspringLaw([0.25, 0.5, 0.25]), 3, 2.5, [0.5], 1)
+
+
+def test_a_fractional_step_count_is_rejected():
+    with pytest.raises(ValueError, match="n_steps must be an integer >= 0, got 2.7"):
+        simulate_gw(OffspringLaw([0.25, 0.5, 0.25]), 2.7, 10, [0.5], 1)
+
+
+def test_integral_counts_of_another_type_are_taken():
+    law = OffspringLaw([0.25, 0.5, 0.25])
+    got = simulate_gw(law, 3.0, np.int64(2), [0.5], 1)
+    assert got == simulate_gw(law, 3, 2, [0.5], 1)
+    assert type(got.trials) is int and type(got.n_steps) is int
+
+
+@pytest.mark.parametrize("make", [lambda: BranchingGenerator({2.5: 1.0}), lambda: BranchingGenerator.yule(1.0, 2.5)])
+def test_a_fractional_offspring_count_is_rejected_not_truncated(make):
+    # both used to become the rate {2: 1.0}
+    with pytest.raises(ValueError, match="offspring count must be an integer >= 2, got 2.5"):
+        make()
+
+
 @pytest.mark.parametrize("trials", [3, 10])  # per-trial and grouped
 def test_sampling_stops_once_every_trial_is_extinct(trials):
     kinds = []

@@ -728,6 +728,36 @@ def test_an_extension_takes_the_steps_of_a_walk_from_scratch(functionals, words,
     _check_against_state_walk(functionals, words)
 
 
+def _same_record(got, expect):
+    """Records equal field by field, where nan matches nan in each number."""
+    (state, prefix, scalar, drops, product, stopped), want = got, expect
+    assert (state, prefix, stopped) == (want[0], want[1], want[5])
+    assert (scalar is None) == (want[2] is None) and (scalar is None or _same_number(scalar, want[2]))
+    assert _same_number(product, want[4]) and type(product) is type(want[4])
+    assert [drop for _, drop, _ in drops] == [drop for _, drop, _ in want[3]]
+    for (psi_value, _, value), (psi_want, _, value_want) in zip(drops, want[3]):
+        assert _same_number(psi_value, psi_want) and _same_number(value, value_want)
+
+
+@pytest.mark.parametrize("kind", sorted(_walk_moment_kinds))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), words=word_sequences())
+def test_a_record_walked_on_from_its_prefix_is_the_record_walked_from_scratch(kind, data, words):
+    # the records an evaluator keeps, most of them walked on by one letter
+    # from their prefix's record, are the records that the same states
+    # leave walked from the record of no letter, and so is the word's value
+    evaluator = CFreeEvaluator(*data.draw(specialized_functionals(kind, min_moments=0)))
+    for word in words:
+        outcome = _outcome(evaluator.eval, word)
+        if outcome[0] == "error" or not evaluator._path:
+            continue
+        for record in evaluator._path:
+            value, scratch = evaluator._extend(cfree._NO_LETTER, record[0])
+            _same_record(record, scratch)
+        if len(word) >= 2:  # the last record is the word's
+            assert _same_number(value, outcome[1]) and type(value) is type(outcome[1])
+
+
 @pytest.mark.parametrize("max_len, max_power", [(1, 1), (1, 4), (4, 1), (3, 2), (4, 3), (6, 2)])
 def test_depth_first_words_are_the_length_first_words(max_len, max_power):
     words = [word.letters for word in canonical_words(max_len, max_power)]

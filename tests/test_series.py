@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import horner_compose, reciprocal_forward
+from oracles import horner_compose, power_table, reciprocal_forward
 
 from monoconv.errors import DomainError
-from monoconv.series import TruncatedSeries, _power_table, horner
+from monoconv.series import TruncatedSeries, horner
 
 
 def rand_series(rng, order):
@@ -96,7 +96,7 @@ def test_compose_matches_the_power_table(order):
         assert got.order == order
         # each route is within about n eps of the composition of the moduli
         bound = 2 * max(order, 1) * eps * _moduli_composition(f, g) + tiny
-        assert np.all(np.abs(got.coeffs - f.coeffs @ _power_table(g.coeffs)) <= bound)
+        assert np.all(np.abs(got.coeffs - f.coeffs @ power_table(g.coeffs)) <= bound)
 
 
 def _fraction_compose(f, g):
