@@ -11,6 +11,7 @@ generators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, compress
 
@@ -60,8 +61,9 @@ class OffspringLaw:
         """n-fold composition of the generating function at z.
 
         Stops early at an exact fixed point, phi(val) == val to the bit:
-        every later iterate is then the same number.
+        every later iterate is then the same number.  ``n`` is an integer >= 0.
         """
+        n = integral_at_least(n, "iterate count", 0)
         val = complex(z)
         for _ in range(n):
             nxt = self.phi(val)
@@ -159,10 +161,13 @@ def yule_flow(alpha: float, k: int, t: float, z) -> complex:
 
     phi_t(z) = z e^{-alpha t} / (1 - (1 - e^{-alpha(k-1)t}) z^{k-1})^{1/(k-1)},
     with the principal root branch (continuous in t from phi_0 = z); for
-    t < 0 that branch is not the flow, so negative times are rejected.
+    t < 0 that branch is not the flow, so negative times are rejected.  The
+    rate ``alpha`` must be finite and ``k`` an integer >= 2 (a ``ValueError``
+    otherwise).
     """
-    if k < 2:
-        raise ValueError("Yule offspring count must be >= 2")
+    if not math.isfinite(alpha):
+        raise ValueError(f"Yule rate alpha must be finite, got {alpha!r}")
+    k = integral_at_least(k, "offspring count", 2)
     if not t >= 0:
         raise DomainError("Yule flow time must be >= 0")
     z = complex(z)
@@ -173,7 +178,9 @@ def yule_flow(alpha: float, k: int, t: float, z) -> complex:
 
 
 def law_k_transform(law: OffspringLaw, order: int = DEFAULT_ORDER) -> KTransform:
-    """The generating function of a p_0 = 0 law, wrapped as a K-transform."""
+    """The generating function of a p_0 = 0 law, wrapped as a K-transform
+    of order ``max(order, M)``; ``order`` is an integer >= 1."""
+    order = integral_at_least(order, "truncation order", 1)
     if law.p[0] != 0:
         raise DomainError("only laws with p_0 = 0 define a K-transform (K(0) must be 0)")
     n = max(order, len(law.p) - 1)

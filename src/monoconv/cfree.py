@@ -107,13 +107,6 @@ class Word:
                 merged.append((alg, power))
         object.__setattr__(self, "letters", tuple(merged))
 
-    @classmethod
-    def _trusted(cls, letters):
-        """A word on letters already canonical: alternating, int powers >= 1."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "letters", letters)
-        return word
-
     def canonical(self) -> "Word":
         """The word itself: construction already canonicalizes."""
         return self
@@ -517,7 +510,9 @@ def canonical_words(max_len: int, max_power: int):
         stack = steps[start][:]
         while stack:
             letters = stack.pop()
-            yield Word._trusted(letters)
+            word = object.__new__(Word)
+            object.__setattr__(word, "letters", letters)
+            yield word
             if len(letters) < max_len:
                 stack += [letters + step for step in steps[3 - letters[-1][0]]]
 

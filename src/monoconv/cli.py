@@ -5,7 +5,8 @@ verify-ops.  Inputs are JSON files.  Each subcommand returns its result, a
 dict or a CSV (header, rows) pair; one renderer turns it into JSON or CSV
 text and one writer puts that on stdout or, after the command has finished,
 at --out.  The JSON is the bytes ``json.dumps(indent=2, sort_keys=True)``
-writes, with lists of floats and of complex numbers formatted in bulk.
+writes, with lists of floats and of complex numbers formatted in bulk; the
+CSV is one ``%`` format over every cell.
 Identical invocations with identical seeds produce byte-identical output.
 
 :func:`main` parses with the parser built when the module is imported, and
@@ -107,10 +108,25 @@ def _measure_from_obj(obj, path):
     raise InputError(f"{path}: expected an object with 'atoms' or 'moments'")
 
 
+def _offspring_count(key):
+    """A ``rates`` key as the number its text spells, exact where ``int`` reads it.
+
+    Any other key is passed on as it is: the generator checks every count, so
+    "2.0" is 2 and "2.5" or "x" is rejected as an offspring count.
+    """
+    if isinstance(key, str):
+        for number in (int, float):
+            try:
+                return number(key)
+            except ValueError:
+                pass
+    return key
+
+
 def _generator_from_obj(obj, path):
     try:
         if "rates" in obj:
-            rates = {int(j): float(lam) for j, lam in dict(obj["rates"]).items()}
+            rates = {_offspring_count(j): float(lam) for j, lam in dict(obj["rates"]).items()}
             return branching.BranchingGenerator(rates)
         if "b" in obj or "rho" in obj:
             rho = [(r["angle"], r["weight"]) for r in obj.get("rho", [])]
@@ -205,12 +221,19 @@ def _render(result) -> str:
     cannot be serialized raises the same ``TypeError``.  With an indent,
     ``json.dumps`` runs its pure-Python encoder, one call per value;
     :func:`_json_text` formats a list of floats or of complex numbers in a
-    few C-level passes.
+    few C-level passes.  The CSV is, byte for byte, ``",".join(map(str,
+    row)) + "\\n"`` over the header and the rows, written by one ``%``
+    format over all cells (``%s`` is ``str``); every row must be as wide as
+    the header (a ``ValueError`` otherwise).
     """
     if isinstance(result, dict):
         return _json_text(result, "\n") + "\n"
     header, rows = result
-    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+    table = (header, *rows)
+    if set(map(len, table)) != {len(header)}:
+        raise ValueError("every CSV row must be as wide as the header")
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return (line * len(table)) % tuple(itertools.chain.from_iterable(table))
 
 
 _encode_str = json.encoder.encode_basestring_ascii

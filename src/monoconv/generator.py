@@ -103,20 +103,6 @@ class HerglotzGenerator:
         val = self._u(z)
         return val if val.ndim else complex(val)
 
-    def _u_point(self, z: complex) -> complex:
-        """u(z) at a Python complex: a Python sum for few atoms, else the
-        NumPy form, which also gives the inf/nan at an atom."""
-        if self._pairs is not None:
-            acc = 0j
-            try:
-                for omega, c in self._pairs:
-                    acc += (1.0 / (omega - z)) * c
-            except ZeroDivisionError:  # z is an atom
-                pass
-            else:
-                return self._shift + acc
-        return complex(self._u(z))
-
     def vector_field_at(self, z):
         """v(z) = -z u(z), without a disk check.
 
@@ -126,10 +112,20 @@ class HerglotzGenerator:
         It passes a Python ``complex`` when it integrates one point and a
         1-d array otherwise; a ``complex`` takes scalar arithmetic and
         returns a ``complex``, equal to the array form up to rounding, and
-        never raises.
+        never raises: up to ``_PYTHON_SUM_MAX_ATOMS`` atoms u is summed in
+        Python, else (and at an atom, to give the inf/nan) by NumPy.
         """
         if type(z) is complex:
-            return -z * self._u_point(z)
+            if self._pairs is not None:
+                acc = 0j
+                try:
+                    for omega, c in self._pairs:
+                        acc += (1.0 / (omega - z)) * c
+                except ZeroDivisionError:  # z is an atom
+                    pass
+                else:
+                    return -z * (self._shift + acc)
+            return -z * complex(self._u(z))
         z = np.asarray(z, dtype=complex)
         out = -z * self._u(z)
         return out if out.ndim else complex(out)

@@ -79,14 +79,13 @@ class CircleMeasure:
 
     @classmethod
     def haar(cls, order: int = DEFAULT_ORDER) -> "CircleMeasure":
-        """Normalized arc length, as the all-zero moment sequence m_1..m_order."""
-        return cls(moments=np.zeros(order))
+        """Normalized arc length, as the all-zero moment sequence m_1..m_order (order >= 1)."""
+        return cls(moments=np.zeros(integral_at_least(order, "moment order", 1)))
 
     @classmethod
     def uniform_atoms(cls, m: int) -> "CircleMeasure":
-        """m equal atoms at the m-th roots of unity (atomic Haar quadrature)."""
-        if m < 1:
-            raise ValueError("need at least one atom")
+        """m equal atoms at the m-th roots of unity (atomic Haar quadrature), m >= 1."""
+        m = integral_at_least(m, "atom count", 1)
         return cls(angles=TWO_PI * np.arange(m) / m, weights=np.full(m, 1.0 / m))
 
     # -- structure ---------------------------------------------------------

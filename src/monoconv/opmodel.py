@@ -165,9 +165,12 @@ def k_operator(x, omega, z):
     (the result has its shape); all points are solved in one batched
     linear solve against one norm, :func:`spectral_norm`.  Every point must
     satisfy |z| < 1/||x||; for a unitary x that bound is 1 up to rounding.
+    A non-finite entry of ``omega`` raises ``ValueError``.
     """
     x = np.asarray(x, dtype=complex)
     omega = np.asarray(omega, dtype=complex).ravel()
+    if not np.isfinite(omega).all():
+        raise ValueError("state vector omega must be finite")
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
     bound = 1.0 / max(spectral_norm(x), 1e-300)
@@ -244,7 +247,8 @@ def k_composition_defect(model: MatrixModel, v1: str, v2: str, w: str, z_grid) -
 
 
 def random_unitary(rng, dim: int) -> np.ndarray:
-    """Haar-ish unitary from the QR factorization of a Gaussian matrix."""
+    """Haar-ish unitary from the QR factorization of a Gaussian matrix (dim >= 1)."""
+    dim = integral_at_least(dim, "dimension", 1)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -269,8 +273,7 @@ def random_composition_suite(seed: int = 0, cases: int = 100) -> dict:
     V2 V1 - 1 in the left image), and 20 points with |z| <= 0.2.  Returns
     the worst defect (over >= 1 cases) and per-case summaries.
     """
-    if cases < 1:
-        raise ValueError("need at least one case")
+    cases = integral_at_least(cases, "case count", 1)
     points_per_case, z_radius = 20, 0.2
     rng = np.random.default_rng(seed)
     dims = [(2, 2), (2, 3), (3, 2)]

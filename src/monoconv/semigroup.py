@@ -44,6 +44,7 @@ from math import hypot, inf, sqrt
 
 import numpy as np
 
+from ._util import integral_at_least
 from .errors import DomainError, StepSizeUnderflowError
 from .series import DEFAULT_ORDER, TruncatedSeries, _fill_power_columns
 
@@ -381,8 +382,7 @@ def flow_coefficients(gen, t: float, n: int = DEFAULT_ORDER) -> TruncatedSeries:
     """
     if not 0 <= t < np.inf:
         raise DomainError("evolution time must be finite and >= 0")
-    if n < 1:
-        raise ValueError("need at least one coefficient")
+    n = integral_at_least(n, "coefficient count", 1)
     beta = complex(gen.beta)
     if beta == 0:
         raise DomainError(

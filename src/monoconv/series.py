@@ -49,6 +49,7 @@ import math
 
 import numpy as np
 
+from ._util import integral_at_least
 from .errors import DomainError
 
 #: Default truncation order used throughout the package.
@@ -115,8 +116,9 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, degree: int, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        if not 0 <= degree <= order:
-            raise ValueError("monomial degree must lie within the truncation order")
+        """z^degree truncated at ``order``: integers with 0 <= degree <= order."""
+        degree = integral_at_least(degree, "monomial degree", 0)
+        order = integral_at_least(order, "truncation order", degree)
         c = np.zeros(order + 1, dtype=np.complex128)
         c[degree] = 1.0
         return cls(c)
@@ -140,11 +142,10 @@ class TruncatedSeries:
         return complex(self._c[k])
 
     def truncate(self, order: int) -> "TruncatedSeries":
-        """Drop coefficients above ``order`` (never extends)."""
+        """Drop coefficients above ``order``, an integer >= 0 (never extends)."""
+        order = integral_at_least(order, "truncation order", 0)
         if order >= self.order:
             return self
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
         return TruncatedSeries(self._c[: order + 1])
 
     # -- arithmetic --------------------------------------------------------

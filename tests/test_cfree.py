@@ -617,6 +617,21 @@ def test_walk_memoizes_no_partly_centered_state():
     assert len(free._memo) <= 232
 
 
+def test_the_oracles_overrides_take_effect():
+    # StateWalkCFree's _word_value keeps no prefix record and DropKeepCFree's
+    # _value memoizes the drop/keep recursion's states; an override that stops
+    # being called leaves the oracle walking words as the evaluator does
+    phi1 = MomentFunctional([Fraction(k % 5 - 2, k % 3 + 1) for k in range(18)])
+    phi2 = MomentFunctional([Fraction(k % 7 - 3, k % 4 + 1) for k in range(18)])
+    kept = {}
+    for cls in (CFreeEvaluator, StateWalkCFree, DropKeepCFree):
+        evaluator = cls(phi1, MomentFunctional.delta(), phi2, phi2)
+        for word in canonical_words(4, 3):
+            evaluator.eval(word)
+        kept[cls] = (len(evaluator._path), len(evaluator._memo))
+    assert kept == {CFreeEvaluator: (4, 288), StateWalkCFree: (0, 288), DropKeepCFree: (0, 684)}
+
+
 # -- prefix records against the walk of every word from its first letter ------------
 
 

@@ -106,6 +106,23 @@ def test_evolve_yule_emits_closed_form_column(tmp_path, capsys):
         assert abs(cells[3] - cells[5]) < 1e-8 and abs(cells[4] - cells[6]) < 1e-8
 
 
+def test_evolve_reads_rate_keys_as_numbers(tmp_path, capsys):
+    outputs = []
+    for key in ("2", "2.0"):
+        gen = write(tmp_path, "gen.json", {"rates": {key: 1.0}})
+        outputs.append(run(capsys, ["evolve", gen, "--t", "0.5", "--z", "0.4"]))
+    assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("key, shown", [("2.5", "2.5"), ("x", "'x'")])
+def test_evolve_rejects_a_rate_key_that_is_no_offspring_count(tmp_path, capsys, key, shown):
+    gen = write(tmp_path, "gen.json", {"rates": {key: 1.0}})
+    code, out, err = run(capsys, ["evolve", gen, "--t", "0.5", "--z", "0.4"])
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert message == f"{gen}: invalid generator: offspring count must be an integer >= 2, got {shown}"
+
+
 def test_evolve_rows_follow_given_time_order(tmp_path, capsys):
     gen = write(tmp_path, "gen.json", {"b": 0.2, "rho": [{"angle": 1.0, "weight": 0.6}]})
     code, out, _ = run(capsys, ["evolve", gen, "--t", "1.0,0.5,1.0", "--z", "0.4", "--z", "0.2-0.3j"])
@@ -337,14 +354,32 @@ def test_render_json_matches_reference_on_random_scalars(triples):
     assert cli._render(payload) == json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
+CSV_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+CSV_CELLS = st.one_of(
+    st.integers(),
+    st.just(2**63),
+    CSV_FLOATS,
+    CSV_FLOATS.map(np.float64),
+    st.builds(lambda re, im: f"{re!r}{im:+}j", CSV_FLOATS, CSV_FLOATS),  # gw's z column
+)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(), st.floats(), st.booleans(), st.none()), max_size=6))
+@given(st.lists(st.tuples(CSV_CELLS, CSV_FLOATS, st.booleans(), st.none()), max_size=6))
 def test_render_csv_matches_reference(rows):
     header = ("k", "x", "flag", "nothing")
-    lines = cli._render((header, rows)).split("\n")
+    text = cli._render((header, iter(rows)))
+    assert text == "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+    lines = text.split("\n")
     assert lines.pop() == ""
     assert lines[0] == "k,x,flag,nothing"
     assert [line.split(",") for line in lines[1:]] == [[csv_cell(v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("rows", [[(1, 2)], [(1, 2, 3), (1, 2, 3, 4)], [(1, 2, 3), (1, 2)]])
+def test_render_csv_rejects_a_row_not_as_wide_as_the_header(rows):
+    with pytest.raises(ValueError, match="as wide as the header"):
+        cli._render((("a", "b", "c"), rows))
 
 
 # The bulk JSON renderer against the json module's encoder, on trees that mix
